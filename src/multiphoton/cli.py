@@ -120,8 +120,7 @@ def cmd_distribution(args) -> int:
         raise ValidationError(
             f"field 'detectors': {len(detectors)} entries but the network has {u.shape[0]} modes"
         )
-    dist = output_distribution(args.engine, u, n_occ, photons=photons,
-                               detectors=detectors, threads=args.threads)
+    dist = output_distribution(args.engine, u, n_occ, photons=photons, detectors=detectors)
     _write_text(args.out, _format_json(dist.to_dict()))
     return EXIT_OK
 
@@ -183,7 +182,7 @@ def _render_suppression_table(records) -> str:
 def cmd_suppress(args) -> int:
     u = parse_network_source(args.network, args.tol or network.USER_UNITARITY_TOL)
     spec = _load_group_spec(args.groups)
-    records = zeroprob.suppression_scan(u, spec, threads=args.threads)
+    records = zeroprob.suppression_scan(u, spec)
     report = {
         "network": args.network,
         "records": [r.to_dict() for r in records],
@@ -232,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--out", default=None, help="output file ('-' or omit for stdout)")
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--tol", type=float, default=None,
                        help="unitarity tolerance for user-supplied networks")
 

@@ -1,14 +1,22 @@
-"""Matrix permanents: a naive S_n oracle, a Gray-code Ryser evaluator, and the
-Laplace block expansion.
+"""Matrix permanents: a naive S_n oracle, a Ryser evaluator, and the Laplace
+block expansion.
 
 per(A) = sum_sigma prod_alpha A[sigma(alpha), alpha].  The empty matrix has
 permanent 1 (empty product), which the Laplace expansion relies on.
+
+Ryser's formula per(A) = (-1)^n sum_S (-1)^|S| prod_i sum_{j in S} A[i, j]
+runs over every column subset S.  One kernel, ``_ryser``, evaluates it for a
+whole (B, n, n) stack: the 2^lo subset sums of the ``lo`` low columns are
+formed at once, and a Gray code over the remaining high columns adds or
+removes one column per step, so each step multiplies out 2^lo subsets of the
+whole batch.  ``lo`` and the batch chunk are chosen from n and B so that the
+subset sums and their row products hold at most ``RYSER_TEMP_ELEMENTS``
+complex numbers; the transposed copy of a chunk is at most n times that.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
@@ -17,20 +25,18 @@ from .symgroup import permutation_array
 
 MAX_NAIVE_N = 9
 MAX_RYSER_N = 24
-
-try:  # optional JIT for large n; both paths sum in the same Gray-code order
-    import numba as _nb
-except ModuleNotFoundError:
-    _nb = None
+RYSER_TEMP_ELEMENTS = 1 << 14   # 256 KiB of complex128 per working array of the kernel
 
 
-def _check_square(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {a.shape}")
-    if a.size and not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+def _check_stack(stack: np.ndarray, ndim: int) -> np.ndarray:
+    """``stack`` as a complex array of square matrices (ndim 2 or 3), all finite."""
+    stack = np.asarray(stack, dtype=complex)
+    if stack.ndim != ndim or stack.shape[-1] != stack.shape[-2]:
+        expected = "a square matrix" if ndim == 2 else "a (B, n, n) stack"
+        raise ValidationError(f"expected {expected}, got shape {stack.shape}")
+    if not np.all(np.isfinite(stack)):
         raise ValidationError("matrix entries must be finite")
-    return a
+    return stack
 
 
 def permanent_naive(a: np.ndarray) -> complex:
@@ -38,7 +44,7 @@ def permanent_naive(a: np.ndarray) -> complex:
 
     Capped at n <= 9 (n! terms).
     """
-    a = _check_square(a)
+    a = _check_stack(a, 2)
     n = a.shape[0]
     if n == 0:
         return 1.0 + 0.0j
@@ -49,115 +55,55 @@ def permanent_naive(a: np.ndarray) -> complex:
     return complex(np.sum(np.prod(a[perms, cols], axis=1)))
 
 
-def _ryser_gray_py(a: np.ndarray) -> complex:
-    n = a.shape[0]
-    row_sums = np.zeros(n, dtype=complex)
-    total = 0.0 + 0.0j
-    prev_gray = 0
-    size = 0
-    for k in range(1, 1 << n):
-        gray = k ^ (k >> 1)
-        flipped = (gray ^ prev_gray).bit_length() - 1
-        if gray & (1 << flipped):
-            row_sums += a[:, flipped]
-            size += 1
-        else:
-            row_sums -= a[:, flipped]
-            size -= 1
-        prev_gray = gray
-        term = np.prod(row_sums)
-        if (n - size) % 2 == 0:
-            total += term
-        else:
-            total -= term
-    return complex(total)
-
-
-if _nb is not None:
-
-    @_nb.njit(cache=True)
-    def _ryser_gray_jit(a):  # pragma: no cover - exercised via permanent_ryser
-        n = a.shape[0]
-        row_sums = np.zeros(n, dtype=np.complex128)
-        total = 0.0 + 0.0j
-        prev_gray = 0
-        size = 0
-        for k in range(1, 1 << n):
-            gray = k ^ (k >> 1)
-            diff = gray ^ prev_gray
-            flipped = -1
-            while diff:
-                diff >>= 1
-                flipped += 1
-            if gray & (1 << flipped):
-                for i in range(n):
-                    row_sums[i] += a[i, flipped]
-                size += 1
-            else:
-                for i in range(n):
-                    row_sums[i] -= a[i, flipped]
-                size -= 1
-            prev_gray = gray
-            term = 1.0 + 0.0j
-            for i in range(n):
-                term *= row_sums[i]
-            if (n - size) % 2 == 0:
-                total += term
-            else:
-                total -= term
-        return total
+def _ryser(stack: np.ndarray) -> np.ndarray:
+    """Ryser permanents of a validated (B, n, n) stack."""
+    b, n, _ = stack.shape
+    if n > MAX_RYSER_N:
+        raise SizeLimitError(f"Ryser permanents capped at n <= {MAX_RYSER_N}, got {n}")
+    if n == 0:
+        return np.ones(b, dtype=complex)
+    lo = min(n, max(0, (RYSER_TEMP_ELEMENTS // (n * max(b, 1))).bit_length() - 1))
+    chunk = max(1, RYSER_TEMP_ELEMENTS // (n << lo))
+    out = np.empty(b, dtype=complex)
+    for start in range(0, b, chunk):
+        # (column, row, batch): the batch axis last keeps every row product contiguous
+        cols = np.ascontiguousarray(stack[start:start + chunk].transpose(2, 1, 0))
+        low = np.zeros((1 << lo,) + cols.shape[1:], dtype=complex)
+        parity = np.ones(1)
+        for j in range(lo):  # subset i of the low columns holds column j iff bit j of i
+            low[1 << j:2 << j] = low[:1 << j] + cols[j]
+            parity = np.concatenate([parity, -parity])
+        high = np.zeros(cols.shape[1:], dtype=complex)
+        sums = np.empty_like(low)
+        total = np.zeros(cols.shape[2], dtype=complex)
+        sign = (-1) ** n
+        for k in range(1 << (n - lo)):
+            if k:  # Gray step k flips high column c, the lowest set bit of k
+                c = (k & -k).bit_length() - 1
+                if (k ^ (k >> 1)) >> c & 1:
+                    high += cols[lo + c]
+                else:
+                    high -= cols[lo + c]
+                sign = -sign
+            np.add(low, high, out=sums)
+            total += sign * (parity @ np.prod(sums, axis=1))
+        out[start:start + chunk] = total
+    return out
 
 
 def permanent_ryser(a: np.ndarray) -> complex:
-    """Ryser inclusion-exclusion with Gray-code subset updates, O(2^n n).
+    """Ryser inclusion-exclusion, O(2^n n); the batch kernel on a batch of one.
 
     Matches permanent_naive to 1e-10 relative for n <= 9; capped at n <= 24.
     """
-    a = _check_square(a)
-    n = a.shape[0]
-    if n == 0:
-        return 1.0 + 0.0j
-    if n > MAX_RYSER_N:
-        raise SizeLimitError(f"permanent_ryser capped at n <= {MAX_RYSER_N}, got {n}")
-    if _nb is not None and n >= 12:
-        return complex(_ryser_gray_jit(np.ascontiguousarray(a)))
-    return _ryser_gray_py(a)
+    return complex(_ryser(_check_stack(a, 2)[None])[0])
 
 
 def permanent_ryser_batch(stack: np.ndarray) -> np.ndarray:
-    """Permanents of a (B, n, n) stack, vectorized over the batch axis.
-
-    Used by the probability engines for many small permanents; same
-    Gray-code summation order as permanent_ryser.
-    """
-    stack = np.asarray(stack, dtype=complex)
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-        raise ValidationError(f"expected (B, n, n) stack, got shape {stack.shape}")
-    b, n, _ = stack.shape
-    if n == 0:
-        return np.ones(b, dtype=complex)
-    if n > 16:
-        raise SizeLimitError("batched permanents capped at n <= 16")
-    row_sums = np.zeros((b, n), dtype=complex)
-    total = np.zeros(b, dtype=complex)
-    prev_gray = 0
-    size = 0
-    for k in range(1, 1 << n):
-        gray = k ^ (k >> 1)
-        flipped = (gray ^ prev_gray).bit_length() - 1
-        if gray & (1 << flipped):
-            row_sums += stack[:, :, flipped]
-            size += 1
-        else:
-            row_sums -= stack[:, :, flipped]
-            size -= 1
-        prev_gray = gray
-        term = np.prod(row_sums, axis=1)
-        if (n - size) % 2 == 0:
-            total += term
-        else:
-            total -= term
-    return total
+    """Permanents of a (B, n, n) stack; same kernel, validation and cap as
+    permanent_ryser. Used by the probability engines for many small
+    permanents."""
+    return _ryser(_check_stack(stack, 3))
 
 
 def permanent_laplace(a: np.ndarray, row_split: int) -> complex:
@@ -166,7 +112,7 @@ def permanent_laplace(a: np.ndarray, row_split: int) -> complex:
     Splits rows into [0, k) and [k, n); sums per(top block on columns S)
     times per(bottom block on complementary columns) over all k-subsets S.
     """
-    a = _check_square(a)
+    a = _check_stack(a, 2)
     n = a.shape[0]
     if not 1 <= row_split < n:
         raise ValidationError(f"row split must satisfy 1 <= k < n, got k={row_split}, n={n}")
@@ -197,6 +143,3 @@ def is_vanishing(value: complex, a: np.ndarray) -> bool:
     """True if ``value`` is below the scale-aware zero threshold of ``a``."""
     return abs(value) < zero_threshold(a)
 
-
-def factorial(n: int) -> int:
-    return math.factorial(n)

@@ -24,7 +24,6 @@ import itertools
 import logging
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -59,6 +58,7 @@ NEGATIVE_CLAMP = -1e-9   # below this a negative probability is a hard error
 IMAG_RESIDUAL_TOL = 1e-10
 ORACLE_MAX_N = 5
 JMATRIX_MAX_N = 8
+GENERAL_STACK_ELEMENTS = 1 << 14  # bounds the permanent stack prob_general builds at once
 
 
 @dataclass(frozen=True)
@@ -180,50 +180,49 @@ def _output_blocks(ls: Sequence[int]) -> list[tuple[int, ...]]:
     return blocks
 
 
-def _canonical_tuples(r: int, blocks: list[tuple[int, ...]]):
-    """Basis tuples that are nondecreasing within each output block, with the
-    count of their distinct rearrangements.
+def _canonical_tuples(r: int, blocks: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """Basis tuples that are nondecreasing within each output block, as a
+    (T, N) index array, with the count of their distinct rearrangements (T,).
 
     Permuting basis indices among slots of the same output mode permutes whole
     columns of the Hadamard product, so |per| is constant on those orbits; the
     weight makes the reduced sum equal to the full r^N tuple sum.
     """
-    per_block = []
+    combos, counts = [], []
     for block in blocks:
         size = len(block)
-        options = []
-        for comb in itertools.combinations_with_replacement(range(r), size):
-            weight = math.factorial(size)
-            for c in Counter(comb).values():
-                weight //= math.factorial(c)
-            options.append((comb, weight))
-        per_block.append(options)
-    for chosen in itertools.product(*per_block):
-        jt: list[int] = []
-        weight = 1
-        for comb, w in chosen:
-            jt.extend(comb)
-            weight *= w
-        yield tuple(jt), weight
+        options = list(itertools.combinations_with_replacement(range(r), size))
+        combos.append(np.array(options, dtype=np.intp))
+        counts.append(np.array([
+            math.factorial(size) // math.prod(math.factorial(c) for c in Counter(comb).values())
+            for comb in options
+        ]))
+    grid = np.indices([len(c) for c in combos]).reshape(len(combos), -1)  # product order
+    tuples = np.concatenate([c[g] for c, g in zip(combos, grid)], axis=1)
+    weights = np.prod([w[g] for w, g in zip(counts, grid)], axis=0)
+    return tuples, weights
+
+
+def _tuple_permanents(usub: np.ndarray, rows: np.ndarray, tuples: np.ndarray,
+                      cols: np.ndarray) -> np.ndarray:
+    """per(U[n|m] . S) for every basis tuple j (a row of ``tuples``) and column
+    choice c (a row of ``cols``), where S[beta, alpha] = rows[alpha, j_alpha, c_beta]
+    and rows[alpha] is the (r, K) row source of output slot alpha. Shape (T, C)."""
+    n = usub.shape[0]
+    stack = usub * rows[np.arange(n), tuples][:, :, cols].transpose(0, 2, 3, 1)
+    return permanent_ryser_batch(stack.reshape(-1, n, n)).reshape(len(tuples), len(cols))
 
 
 def _permanent_basis_pure(states: Sequence[PureState], slot_dets: Sequence[DetectorModel],
                           u: np.ndarray, n_occ, m_occ) -> float:
-    n = len(states)
-    ls = mode_list(m_occ)
     basis = SpanBasis(states)
-    r = basis.rank
-    usub = submatrix(u, n_occ, m_occ)
     sq = {det: basis.detector_sqrt(det) @ basis.coords for det in set(slot_dets)}  # (r, N)
-    mats, weights = [], []
-    for jt, w in _canonical_tuples(r, _output_blocks(ls)):
-        s = np.empty((n, n), dtype=complex)
-        for alpha in range(n):
-            s[:, alpha] = sq[slot_dets[alpha]][jt[alpha], :]
-        mats.append(usub * s)
-        weights.append(w)
-    pers = permanent_ryser_batch(np.asarray(mats))
-    return float(np.sum(np.asarray(weights) * np.abs(pers) ** 2))
+    rows = np.stack([sq[det] for det in slot_dets])
+    tuples, weights = _canonical_tuples(basis.rank, _output_blocks(mode_list(m_occ)))
+    # the photons themselves are the columns: S[beta, alpha] = sq[j_alpha, beta]
+    pers = _tuple_permanents(submatrix(u, n_occ, m_occ), rows, tuples,
+                             np.arange(len(states))[None, :])
+    return float(weights @ np.abs(pers[:, 0]) ** 2)
 
 
 def prob_permanent_basis(photons: Sequence[PureState | MixedState],
@@ -356,20 +355,20 @@ def prob_general(ensemble: GeneralEnsemble, detectors: Sequence[DetectorModel] |
     if n == 0:
         return _finalize(1.0 + 0j, m_occ, "general")
     slot_dets = _slot_detectors(detectors, m_occ, u.shape[0])
-    ls = mode_list(m_occ)
     usub = submatrix(u, n_occ, m_occ)
     sqrt_ops = {det: ensemble.basis.detector_sqrt(det) for det in set(slot_dets)}
-    jp_tuples = np.array(list(itertools.product(range(r), repeat=n)), dtype=np.intp)
-    flat = [(w, np.asarray(c, dtype=complex).reshape(-1)) for w, c in ensemble.components]
+    rows = np.stack([sqrt_ops[det] for det in slot_dets])
+    jp_tuples = np.indices((r,) * n).reshape(n, -1).T
+    probs = np.array([w for w, _ in ensemble.components])
+    coeffs = np.stack([np.asarray(c, dtype=complex).reshape(-1) for _, c in ensemble.components])
+    tuples, weights = _canonical_tuples(r, _output_blocks(mode_list(m_occ)))
+    step = max(1, GENERAL_STACK_ELEMENTS // (r**n * n * n))
     total = 0.0
-    for jt, weight in _canonical_tuples(r, _output_blocks(ls)):
-        # B[beta, alpha] = <j_alpha| sqrt(Gamma_{l_alpha}) |j'_beta>
-        qgrid = np.stack([sqrt_ops[slot_dets[a]][jt[a], :] for a in range(n)], axis=1)  # (r, N)
-        stack = usub[None, :, :] * qgrid[jp_tuples]  # (r^N, N, N)
-        pers = permanent_ryser_batch(stack)
-        for w, cvec in flat:
-            amp = cvec @ pers
-            total += weight * w * (amp.real**2 + amp.imag**2)
+    for start in range(0, len(tuples), step):
+        # B(j, j')[beta, alpha] = <j_alpha| sqrt(Gamma_{l_alpha}) |j'_beta>
+        pers = _tuple_permanents(usub, rows, tuples[start:start + step], jp_tuples)
+        amps = pers @ coeffs.T  # (tuples, components)
+        total += weights[start:start + step] @ ((amps.real**2 + amps.imag**2) @ probs)
     total /= mu(n_occ) * mu(m_occ)
     return _finalize(total, m_occ, "general")
 
@@ -494,8 +493,7 @@ def _one_output(engine: str, u, n_occ, m_occ, photons, detectors, ensemble):
     if engine == "permanent":
         return prob_permanent_basis(photons, detectors, u, n_occ, m_occ)
     if engine == "general":
-        ens = ensemble if ensemble is not None else GeneralEnsemble.from_photons(photons, n_occ)
-        return prob_general(ens, detectors, u, n_occ, m_occ)
+        return prob_general(ensemble, detectors, u, n_occ, m_occ)
     if engine == "oracle":
         src = ensemble if ensemble is not None else photons
         return prob_oracle(src, detectors, u, n_occ, m_occ)
@@ -514,13 +512,9 @@ def _one_output(engine: str, u, n_occ, m_occ, photons, detectors, ensemble):
 def output_distribution(engine: str, u: np.ndarray, n_occ, *,
                         photons: Sequence[PureState | MixedState] | None = None,
                         detectors: Sequence[DetectorModel] | None = None,
-                        ensemble: GeneralEnsemble | None = None,
-                        threads: int = 1) -> DistributionResult:
+                        ensemble: GeneralEnsemble | None = None) -> DistributionResult:
     """Probabilities of every output configuration |m| = N, in canonical
-    (descending lexicographic) output order.
-
-    Deterministic for any thread count: results are merged in output order.
-    """
+    (descending lexicographic) output order."""
     n_occ = check_occupation(n_occ, u.shape[0])
     n = sum(n_occ)
     if engine not in ENGINES:
@@ -529,30 +523,22 @@ def output_distribution(engine: str, u: np.ndarray, n_occ, *,
         raise ValidationError(f"engine {engine!r} needs spectral data")
     if photons is not None and len(photons) != n:
         raise ValidationError(f"photon list length {len(photons)} != |n| = {n}")
-    outputs = enumerate_outputs(u.shape[0], n)
+    if engine == "general" and ensemble is None:
+        ensemble = GeneralEnsemble.from_photons(photons, n_occ)
     dist = DistributionResult(input=n_occ, engine=engine)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_one_output, engine, u, n_occ, m_occ, photons, detectors, ensemble)
-                for m_occ in outputs
-            ]
-            dist.results = [f.result() for f in futures]
-    else:
-        dist.results = [
-            _one_output(engine, u, n_occ, m_occ, photons, detectors, ensemble)
-            for m_occ in outputs
-        ]
+    dist.results = [
+        _one_output(engine, u, n_occ, m_occ, photons, detectors, ensemble)
+        for m_occ in enumerate_outputs(u.shape[0], n)
+    ]
     return dist
 
 
 def normalization_report(engine: str, u: np.ndarray, n_occ, *,
-                         photons=None, detectors=None, ensemble=None,
-                         threads: int = 1) -> float:
+                         photons=None, detectors=None, ensemble=None) -> float:
     """Sum of P(m|n) over all outputs.
 
     1 for ideal detectors; below 1 for lossy detectors (the post-selected sum
     is reported as-is, renormalization is the caller's decision).
     """
     return output_distribution(engine, u, n_occ, photons=photons, detectors=detectors,
-                               ensemble=ensemble, threads=threads).total
+                               ensemble=ensemble).total

@@ -226,15 +226,6 @@ def cycle_index(n: int, a: Sequence[complex]) -> complex:
     return total / math.factorial(n)
 
 
-def compose_index_arrays(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Image array of p∘q (apply q first) for plain integer image arrays."""
-    return p[q]
-
-
-def invert_index_array(p: np.ndarray) -> np.ndarray:
-    return np.argsort(p, kind="stable")
-
-
 def relative_cycle_type(s1: Sequence[int], s2: Sequence[int]) -> tuple[int, ...]:
     """Cycle type of s2 ∘ s1^{-1}, the relative permutation indexing
     cycle-compressed J matrices."""

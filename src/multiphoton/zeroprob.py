@@ -233,8 +233,7 @@ def _probability_at_dial(u: np.ndarray, spec: GroupSpec, m_occ, x: float) -> flo
 
 
 def suppression_scan(u: np.ndarray, spec: GroupSpec,
-                     grid: Sequence[float] = DISTINGUISHABILITY_GRID,
-                     threads: int = 1) -> list[SuppressionRecord]:
+                     grid: Sequence[float] = DISTINGUISHABILITY_GRID) -> list[SuppressionRecord]:
     """Scan every output configuration.
 
     An output is flagged suppressed when every cross-group amplitude Y_w
@@ -275,11 +274,6 @@ def suppression_scan(u: np.ndarray, spec: GroupSpec,
             record.violation = any(p >= SUPPRESSION_P_TOL for p in probs.values())
         return record
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(scan_one, outputs))
     return [scan_one(m) for m in outputs]
 
 

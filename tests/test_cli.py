@@ -52,15 +52,6 @@ def test_distribution_other_engines(tmp_path, identical_photons, engine):
     assert data["sum"] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_distribution_threads_deterministic(tmp_path, identical_photons):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    base = ["distribution", "--network", "haar:3:4", "--input", "1,1,0"]
-    photons = identical_photons
-    assert run(base + ["--photons", photons, "--out", str(a)]) == 0
-    assert run(base + ["--photons", photons, "--threads", "3", "--out", str(b)]) == 0
-    assert a.read_text() == b.read_text()
-
-
 def test_hom_scan_with_photon_file(tmp_path):
     photons = write_json(tmp_path / "p.json", [
         {"gaussian": {"omega": 1.5, "delta": 0.8, "t": 0.0}},

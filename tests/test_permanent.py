@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from multiphoton.errors import SizeLimitError, ValidationError
 from multiphoton.network import fourier, submatrix
 from multiphoton.permanent import (
+    RYSER_TEMP_ELEMENTS,
     is_vanishing,
     permanent_laplace,
     permanent_naive,
@@ -86,15 +87,12 @@ def test_ryser_cap():
         permanent_ryser(np.eye(25))
 
 
-def test_ryser_jit_and_python_paths_agree(rng):
-    # n = 13 uses the JIT when numba is importable; the pure-Python fallback
-    # must produce the same Gray-code sum
-    from multiphoton.permanent import _ryser_gray_py
-
+def test_ryser_n13_matches_naive_laplace(rng):
+    # both Laplace blocks (6x6 and 7x7) go to permanent_naive, so the
+    # reference shares no code with the Ryser kernel
     a = random_complex(rng, 13)
-    fast = permanent_ryser(a)
-    slow = _ryser_gray_py(a)
-    assert abs(fast - slow) <= 1e-10 * abs(slow)
+    ref = permanent_laplace(a, 6)
+    assert abs(permanent_ryser(a) - ref) <= 1e-10 * abs(ref)
 
 
 def test_batch_matches_single(rng):
@@ -102,6 +100,23 @@ def test_batch_matches_single(rng):
     batch = permanent_ryser_batch(stack)
     for mat, val in zip(stack, batch):
         assert val == pytest.approx(permanent_ryser(mat), abs=1e-12)
+    # stacks of more than two kernel chunks, the last one partial; scaling each
+    # tiled matrix by its own factor (per(sA) = s^n per(A)) makes every entry distinct
+    for n in range(1, 9):
+        size = 2 * (RYSER_TEMP_ELEMENTS // n) + 3
+        tile = np.arange(size) % 11
+        base = np.stack([random_complex(rng, n) for _ in range(11)])
+        scale = rng.uniform(0.5, 1.5, size) * np.exp(1j * rng.uniform(0, 2 * np.pi, size))
+        expected = np.array([permanent_naive(m) for m in base])[tile] * scale**n
+        batch = permanent_ryser_batch(base[tile] * scale[:, None, None])
+        assert np.all(np.abs(batch - expected) <= 1e-10 * np.abs(expected)), n
+
+
+def test_batch_nonfinite_rejected(rng):
+    stack = np.stack([random_complex(rng, 3) for _ in range(4)])
+    stack[2, 1, 0] = np.nan
+    with pytest.raises(ValidationError):
+        permanent_ryser_batch(stack)
 
 
 def test_laplace_block_diagonal(rng):

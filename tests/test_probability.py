@@ -499,14 +499,6 @@ def test_photon_count_validation():
         output_distribution("jmatrix", u, (1, 1), photons=[g])
 
 
-def test_distribution_thread_determinism():
-    u = random_unitary(4, 9)
-    photons = gaussians(0.0, 0.8, 1.6)
-    a = output_distribution("permanent", u, (1, 1, 1, 0), photons=photons, threads=1)
-    b = output_distribution("permanent", u, (1, 1, 1, 0), photons=photons, threads=4)
-    assert [r.p for r in a.results] == [r.p for r in b.results]
-
-
 def test_distribution_dict_shape():
     u = fourier(2)
     g = GaussianState(0.0, 1.0, 0.0)
