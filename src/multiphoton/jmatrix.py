@@ -12,6 +12,11 @@ the relative permutation s2 s1^{-1} into operator traces, and for identical
 sources with identical detectors it collapses to a function of the cycle type
 alone: J = prod_k g_k^{C_k}.
 
+A pure build stores only its N per-slot Gram matrices
+G_{l_alpha}[b, c] = <phi_b | Gamma_{l_alpha} | phi_c>, which determine every
+entry; the dense matrix is materialised from them on demand (N <= DENSE_CAP)
+and cached.
+
 With dissimilar detectors the entries depend on the output configuration, so
 every J carries its output context (the mode list it was built for) and the
 probability engines refuse to reuse it across outputs.
@@ -57,7 +62,10 @@ class JMatrix:
     """Partial-indistinguishability matrix with one of three storages.
 
     dense: full (N!, N!) array. cycle: map cycle_type -> value, valid for
-    identical sources and detectors. lazy: per-entry evaluator for N > 6.
+    identical sources and detectors. lazy: the (N, N, N) per-slot Grams
+    ``slot_grams`` of a pure build (any N), or a per-entry evaluator (mixed
+    builds, N > 6). ``as_dense`` materialises a cycle or lazy J for
+    N <= DENSE_CAP and caches it in ``dense``.
     """
 
     n: int
@@ -65,6 +73,7 @@ class JMatrix:
     dense: np.ndarray | None = None
     cycle_values: dict[tuple[int, ...], complex] | None = None
     evaluator: Callable[[Sequence[int], Sequence[int]], complex] | None = None
+    slot_grams: np.ndarray | None = None  # [alpha, b, c] = <phi_b|Gamma_{l_alpha}|phi_c>
     output_modes: tuple[int, ...] | None = None  # l-list this J was built for
     detectors: tuple[DetectorModel, ...] | None = None  # per output slot
     input_modes: tuple[int, ...] | None = None
@@ -84,6 +93,9 @@ class JMatrix:
             return complex(self.dense[permutation_index(tuple(s1)), permutation_index(tuple(s2))])
         if self.storage == "cycle":
             return complex(self.cycle_values[relative_cycle_type(s1, s2)])
+        if self.slot_grams is not None:
+            i1, i2 = np.asarray(s1, dtype=np.intp), np.asarray(s2, dtype=np.intp)
+            return complex(np.prod(self.slot_grams[np.arange(self.n), i1, i2]))
         return complex(self.evaluator(tuple(s1), tuple(s2)))
 
     def as_dense(self) -> np.ndarray:
@@ -94,19 +106,17 @@ class JMatrix:
             raise SizeLimitError(f"dense J storage capped at N <= {DENSE_CAP}, got N={self.n}")
         perms = permutation_array(self.n)
         nf = perms.shape[0]
-        out = np.empty((nf, nf), dtype=complex)
-        if self.storage == "cycle":
+        if self.slot_grams is not None:
+            out = np.ones((nf, nf), dtype=complex)
+            for alpha in range(self.n):
+                idx = perms[:, alpha]
+                out *= self.slot_grams[alpha][idx[:, None], idx[None, :]]
+        else:  # cycle values or a per-entry evaluator, one triangle of a Hermitian J
+            out = np.empty((nf, nf), dtype=complex)
             for i in range(nf):
                 for j in range(i, nf):
-                    val = self.cycle_values[relative_cycle_type(perms[i], perms[j])]
-                    out[i, j] = val
-                    out[j, i] = np.conj(val)
-        else:
-            for i in range(nf):
-                for j in range(i, nf):
-                    val = self.evaluator(tuple(perms[i]), tuple(perms[j]))
-                    out[i, j] = val
-                    out[j, i] = np.conj(val)
+                    out[i, j] = self.entry(perms[i], perms[j])
+                    out[j, i] = np.conj(out[i, j])
         self.dense = out
         return out
 
@@ -176,37 +186,17 @@ def build_pure(states: Sequence[PureState], detectors: Sequence[DetectorModel], 
                output_modes: Sequence[int] | None = None,
                input_modes: Sequence[int] | None = None) -> JMatrix:
     """J for single photons in pure spectral states:
-    J(s1, s2) = prod_alpha <phi_{s1(a)} | Gamma_{l_a} | phi_{s2(a)}>."""
+    J(s1, s2) = prod_alpha <phi_{s1(a)} | Gamma_{l_a} | phi_{s2(a)}>,
+    stored as its per-slot Gram matrices (one Gram per distinct detector)."""
     n = len(states)
     detectors = _check_slot_detectors(n, detectors)
     _validate_block_states(states, input_modes)
     grams = {det: gram_matrix(states, det) for det in set(detectors)}
-
-    if n <= DENSE_CAP:
-        perms = permutation_array(n)
-        nf = perms.shape[0]
-        dense = np.ones((nf, nf), dtype=complex)
-        for alpha in range(n):
-            g = grams[detectors[alpha]]
-            idx = perms[:, alpha]
-            dense *= g[idx[:, None], idx[None, :]]
-        return JMatrix(n, "dense", dense=dense,
-                       output_modes=tuple(output_modes) if output_modes is not None else None,
-                       detectors=detectors,
-                       input_modes=tuple(input_modes) if input_modes is not None else None)
-
-    def evaluator(s1, s2):
-        val = 1.0 + 0.0j
-        for alpha in range(n):
-            val *= grams[detectors[alpha]][s1[alpha], s2[alpha]]
-        return val
-
-    jm = JMatrix(n, "lazy", evaluator=evaluator,
-                 output_modes=tuple(output_modes) if output_modes is not None else None,
-                 detectors=detectors,
-                 input_modes=tuple(input_modes) if input_modes is not None else None)
-    jm._grams = grams  # used by the streaming quadratic form
-    return jm
+    slot_grams = np.array([grams[d] for d in detectors], dtype=complex).reshape(n, n, n)
+    return JMatrix(n, "lazy", slot_grams=slot_grams,
+                   output_modes=tuple(output_modes) if output_modes is not None else None,
+                   detectors=detectors,
+                   input_modes=tuple(input_modes) if input_modes is not None else None)
 
 
 def _operator_setup(states: Sequence[PureState | MixedState],

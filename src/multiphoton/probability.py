@@ -3,8 +3,10 @@
 All engines compute P(m|n) for the same physical input and must agree; they
 differ in the route:
 
-* prob_jmatrix: the N!^2 quadratic form with the partial-indistinguishability
-  matrix J;
+* prob_jmatrix: with the partial-indistinguishability matrix J. A pure J
+  (per-slot Grams) is evaluated as the sum of N! permanents over tau =
+  s2 s1^{-1}, P = (1/(mu mu)) sum_tau per(A_tau); any other J through the
+  N!^2 quadratic form X^dagger J X, dense or streamed entry by entry;
 * prob_permanent_basis: finite-basis sum of |per(U[n|m] . S(j))|^2 over basis
   tuples (single photon or vacuum per input mode);
 * prob_general: the general ensemble formula with tensor coefficients C and
@@ -58,7 +60,7 @@ NEGATIVE_CLAMP = -1e-9   # below this a negative probability is a hard error
 IMAG_RESIDUAL_TOL = 1e-10
 ORACLE_MAX_N = 5
 JMATRIX_MAX_N = 8
-GENERAL_STACK_ELEMENTS = 1 << 14  # bounds the permanent stack prob_general builds at once
+PERMANENT_STACK_ELEMENTS = 1 << 14  # bounds each permanent stack of prob_general and prob_jmatrix
 
 
 @dataclass(frozen=True)
@@ -123,7 +125,13 @@ def path_amplitude_vector(jm: JMatrix, u: np.ndarray, n_occ, m_occ) -> np.ndarra
 
 
 def prob_jmatrix(jm: JMatrix, u: np.ndarray, n_occ, m_occ) -> ProbabilityResult:
-    """P = (1/(mu(m) mu(n))) X^dagger J X with X the path products."""
+    """P = (1/(mu(m) mu(n))) X^dagger J X with X the path products.
+
+    A J that carries per-slot Grams (``build_pure``) is evaluated without the
+    quadratic form: substituting tau = s2 s1^{-1} turns it into
+    sum_tau per(A_tau) with
+    A_tau[b, a] = conj(U[k_b, l_a]) U[k_tau(b), l_a] G_{l_a}[b, tau(b)]
+    (Shchesnovich, PRA 91, 013844, 2015; Tichy, PRA 91, 022316, 2015)."""
     n_occ, m_occ, n = _sizes(n_occ, m_occ, u.shape[0])
     if n > JMATRIX_MAX_N:
         raise SizeLimitError(f"prob_jmatrix capped at N <= {JMATRIX_MAX_N}, got {n}")
@@ -135,32 +143,42 @@ def prob_jmatrix(jm: JMatrix, u: np.ndarray, n_occ, m_occ) -> ProbabilityResult:
             f"J-matrix output context {jm.output_modes} does not match target output "
             f"modes {ls}; rebuild J for this output configuration"
         )
-    x = _path_products(u, n_occ, m_occ)
     if n == 0:
         return _finalize(1.0 + 0j, m_occ, "jmatrix")
-    if n <= DENSE_CAP or jm.dense is not None:
-        dense = jm.as_dense()
-        raw = np.vdot(x, dense @ x)
+    if jm.slot_grams is not None:
+        route = "tau-permanent"
+        raw = _tau_permanent_sum(jm.slot_grams, submatrix(u, n_occ, m_occ))
     else:
-        raw = _quadratic_form_streamed(jm, x, n)
+        x = _path_products(u, n_occ, m_occ)
+        if n <= DENSE_CAP or jm.dense is not None:
+            route, raw = "dense", np.vdot(x, jm.as_dense() @ x)
+        else:
+            route, raw = "streamed", _quadratic_form_streamed(jm, x, n)
+    log.debug("prob_jmatrix: %s route, N=%d, %d tau terms", route, n,
+              math.factorial(n) if route == "tau-permanent" else 0)
     raw /= mu(n_occ) * mu(m_occ)
     return _finalize(raw, m_occ, "jmatrix")
+
+
+def _tau_permanent_sum(slot_grams: np.ndarray, usub: np.ndarray) -> complex:
+    """sum_tau per(A_tau) over every tau in S_N, in stacks of at most
+    PERMANENT_STACK_ELEMENTS entries; usub[b, a] = U[k_b, l_a]."""
+    n = usub.shape[0]
+    taus = permutation_array(n)
+    rows = np.arange(n)
+    step = max(1, PERMANENT_STACK_ELEMENTS // (n * n))
+    total = 0.0 + 0.0j
+    for start in range(0, len(taus), step):
+        tau = taus[start:start + step]
+        grams = slot_grams[:, rows, tau].transpose(1, 2, 0)  # [tau, b, a] = G_{l_a}[b, tau(b)]
+        total += permanent_ryser_batch(usub.conj() * usub[tau] * grams).sum()
+    return total
 
 
 def _quadratic_form_streamed(jm: JMatrix, x: np.ndarray, n: int) -> complex:
     perms = permutation_array(n)
     nf = perms.shape[0]
-    grams = getattr(jm, "_grams", None)
     acc = 0.0 + 0.0j
-    if grams is not None:
-        dets = jm.detectors
-        for i in range(nf):
-            row = np.ones(nf, dtype=complex)
-            for alpha in range(n):
-                g = grams[dets[alpha]]
-                row *= g[perms[i, alpha], perms[:, alpha]]
-            acc += np.conj(x[i]) * (row @ x)
-        return acc
     for i in range(nf):
         row = np.array([jm.entry(perms[i], perms[j]) for j in range(nf)])
         acc += np.conj(x[i]) * (row @ x)
@@ -362,7 +380,7 @@ def prob_general(ensemble: GeneralEnsemble, detectors: Sequence[DetectorModel] |
     probs = np.array([w for w, _ in ensemble.components])
     coeffs = np.stack([np.asarray(c, dtype=complex).reshape(-1) for _, c in ensemble.components])
     tuples, weights = _canonical_tuples(r, _output_blocks(mode_list(m_occ)))
-    step = max(1, GENERAL_STACK_ELEMENTS // (r**n * n * n))
+    step = max(1, PERMANENT_STACK_ELEMENTS // (r**n * n * n))
     total = 0.0
     for start in range(0, len(tuples), step):
         # B(j, j')[beta, alpha] = <j_alpha| sqrt(Gamma_{l_alpha}) |j'_beta>

@@ -11,7 +11,7 @@ from multiphoton.errors import (
     UnsupportedInputError,
     ValidationError,
 )
-from multiphoton.jmatrix import build_cycle_compressed, build_pure, reduce_jmatrix
+from multiphoton.jmatrix import JMatrix, build_cycle_compressed, build_pure, reduce_jmatrix
 from multiphoton.network import enumerate_outputs, fourier, mode_list, mu, random_unitary
 from multiphoton.probability import (
     GeneralEnsemble,
@@ -365,7 +365,6 @@ def test_vacuum_input():
 def test_lazy_streamed_quadratic_form_matches_dense(rng):
     """Force the lazy streaming path on a size where the dense result is
     available as the oracle."""
-    from multiphoton.jmatrix import JMatrix
     from multiphoton.probability import _quadratic_form_streamed, _path_products
 
     u = random_unitary(4, 13)
@@ -378,26 +377,62 @@ def test_lazy_streamed_quadratic_form_matches_dense(rng):
     x = _path_products(u, n_occ, m_occ)
     expected = np.vdot(x, dense @ x)
 
-    from multiphoton.spectral import gram_matrix
-
-    grams = {d: gram_matrix(photons, d) for d in set(slot)}
-
-    def evaluator(s1, s2):
-        val = 1.0 + 0.0j
-        for a in range(3):
-            val *= grams[slot[a]][s1[a], s2[a]]
-        return val
-
-    lazy = JMatrix(3, "lazy", evaluator=evaluator, detectors=slot,
+    lazy = JMatrix(3, "lazy", evaluator=jm.entry, detectors=slot,
                    output_modes=mode_list(m_occ))
     assert _quadratic_form_streamed(lazy, x, 3) == pytest.approx(expected, abs=1e-14)
-    lazy._grams = grams
-    assert _quadratic_form_streamed(lazy, x, 3) == pytest.approx(expected, abs=1e-14)
+
+
+MIXED_DETECTORS = (IDEAL, DetectorModel.flat(0.8),
+                   DetectorModel.gaussian_band(center=0.3, width=1.2, peak=0.9))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_tau_route_matches_dense_quadratic_form(n):
+    """The tau-permanent route of prob_jmatrix equals X^dagger J X / (mu mu)
+    with the same J materialised densely: multi-occupancy inputs, colliding
+    outputs, and a per-mode mix of ideal, flat and band detectors."""
+    from multiphoton.probability import _path_products
+
+    rng = np.random.default_rng(500 + n)
+    m = n + 1
+    u = random_unitary(m, 600 + n)
+    n_occ = tuple(int(c) for c in np.bincount(rng.integers(0, m, n), minlength=m))
+    ks = mode_list(n_occ)
+    times = rng.uniform(-1.0, 1.0, m)  # one state per input mode
+    photons = [GaussianState(0.0, 1.0, float(times[k])) for k in ks]
+    dets = [MIXED_DETECTORS[int(i)] for i in rng.integers(0, 3, m)]
+    outputs = enumerate_outputs(m, n)
+    picks = [outputs[0]] + [outputs[int(i)] for i in rng.choice(len(outputs), 6)]
+    assert n == 1 or max(n_occ) > 1
+    assert n == 1 or any(max(o) > 1 for o in picks[1:])
+    for m_occ in picks:
+        jm = build_j_for(photons, m_occ, dets, n_occ)
+        assert jm.slot_grams is not None and jm.dense is None
+        p = prob_jmatrix(jm, u, n_occ, m_occ).p
+        dense = JMatrix(n, "dense", dense=jm.as_dense(), output_modes=jm.output_modes,
+                        detectors=jm.detectors, input_modes=jm.input_modes)
+        x = _path_products(u, n_occ, m_occ)
+        expected = np.vdot(x, dense.dense @ x).real / (mu(n_occ) * mu(m_occ))
+        assert abs(p - expected) <= 1e-12
+        assert prob_jmatrix(dense, u, n_occ, m_occ).p == pytest.approx(expected, abs=1e-12)
+
+
+def test_tau_route_names_itself_in_debug_log(caplog):
+    u = random_unitary(3, 21)
+    jm = build_j_for(gaussians(0.0, 0.5, 1.0), (1, 1, 1))
+    dense = JMatrix(3, "dense", dense=jm.as_dense(), output_modes=jm.output_modes)
+    with caplog.at_level("DEBUG", logger="multiphoton.probability"):
+        prob_jmatrix(jm, u, (1, 1, 1), (1, 1, 1))
+        prob_jmatrix(dense, u, (1, 1, 1), (1, 1, 1))
+    assert [r.getMessage() for r in caplog.records] == [
+        "prob_jmatrix: tau-permanent route, N=3, 6 tau terms",
+        "prob_jmatrix: dense route, N=3, 0 tau terms",
+    ]
 
 
 def test_seven_photon_streamed_identical_photons():
-    """N = 7 exceeds the dense cap: the streamed lazy J route must reproduce
-    the ideal-indistinguishable closed form."""
+    """N = 7 exceeds the dense cap: the tau-permanent route over the lazy J
+    must reproduce the ideal-indistinguishable closed form."""
     u = random_unitary(7, 70)
     g = GaussianState(0.0, 1.0, 0.0)
     n_occ = (1,) * 7
@@ -407,6 +442,38 @@ def test_seven_photon_streamed_identical_photons():
     a = prob_jmatrix(jm, u, n_occ, m_occ).p
     b = prob_ideal_indistinguishable(u, n_occ, m_occ).p
     assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("gap, reference", [
+    (0.0, prob_ideal_indistinguishable),
+    (20.0, prob_classical),  # photons 20 widths apart: overlaps exp(-200)
+])
+def test_eight_photon_tau_route_limits(gap, reference):
+    """At N = 8 (the cap, above DENSE_CAP) the tau route reproduces both
+    closed-form limits, on an output with a collision."""
+    u = random_unitary(9, 88)
+    n_occ = (1,) * 8 + (0,)
+    m_occ = (0, 2, 1, 1, 0, 1, 1, 1, 1)
+    jm = build_pure(gaussians(*(gap * i for i in range(8))), (IDEAL,) * 8,
+                    output_modes=mode_list(m_occ))
+    p = prob_jmatrix(jm, u, n_occ, m_occ).p
+    assert p == pytest.approx(reference(u, n_occ, m_occ).p, rel=1e-9)
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-5])
+@pytest.mark.parametrize("n_occ", [(1, 1, 1, 0), (2, 1, 1, 1, 0, 0)])
+def test_tau_route_nearly_indistinguishable_matches_oracle(eps, n_occ):
+    """Photons in different input modes delayed by 0, eps and 2 eps (a
+    near-singular span) with a different band detector on every mode."""
+    m = len(n_occ)
+    u = random_unitary(m, 31)
+    photons = [GaussianState(0.0, 1.0, (k % 3) * eps) for k in mode_list(n_occ)]
+    dets = [DetectorModel.gaussian_band(center=0.2 * l - 0.3, width=1.0 + 0.4 * l, peak=0.9)
+            for l in range(m)]
+    outputs = enumerate_outputs(m, sum(n_occ))
+    for m_occ in outputs[::max(1, len(outputs) // 15)]:
+        p = prob_jmatrix(build_j_for(photons, m_occ, dets, n_occ), u, n_occ, m_occ).p
+        assert p == pytest.approx(prob_oracle(photons, dets, u, n_occ, m_occ).p, abs=1e-9)
 
 
 def test_single_photon_detector_weighted():
