@@ -12,10 +12,13 @@ the relative permutation s2 s1^{-1} into operator traces, and for identical
 sources with identical detectors it collapses to a function of the cycle type
 alone: J = prod_k g_k^{C_k}.
 
-A pure build stores only its N per-slot Gram matrices
+A J has one of three storages. A pure build (``build_pure``,
+``build_extreme``) stores only its N per-slot Gram matrices
 G_{l_alpha}[b, c] = <phi_b | Gamma_{l_alpha} | phi_c>, which determine every
-entry; the dense matrix is materialised from them on demand (N <= DENSE_CAP)
-and cached.
+entry; a cycle-compressed build stores one value per cycle type; a mixed
+build (``build_mixed``) stores the dense matrix and is capped at
+N <= DENSE_CAP. ``as_dense`` materialises the first two on demand
+(N <= DENSE_CAP) and caches the result.
 
 With dissimilar detectors the entries depend on the output configuration, so
 every J carries its output context (the mode list it was built for) and the
@@ -27,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,7 +47,6 @@ from .spectral import (
     PureState,
     SpanBasis,
     gram_matrix,
-    overlap,
     pure_components,
 )
 from .symgroup import (
@@ -54,7 +56,7 @@ from .symgroup import (
     relative_cycle_type,
 )
 
-DENSE_CAP = 6  # 6!^2 = 518400 complex entries; above this only lazy/cycle forms
+DENSE_CAP = 6  # 6!^2 = 518400 complex entries: caps dense storage and mixed builds
 
 
 @dataclass
@@ -63,16 +65,14 @@ class JMatrix:
 
     dense: full (N!, N!) array. cycle: map cycle_type -> value, valid for
     identical sources and detectors. lazy: the (N, N, N) per-slot Grams
-    ``slot_grams`` of a pure build (any N), or a per-entry evaluator (mixed
-    builds, N > 6). ``as_dense`` materialises a cycle or lazy J for
-    N <= DENSE_CAP and caches it in ``dense``.
+    ``slot_grams`` of a pure build (any N). ``as_dense`` materialises a cycle
+    or lazy J for N <= DENSE_CAP and caches it in ``dense``.
     """
 
     n: int
     storage: str  # "dense" | "cycle" | "lazy"
     dense: np.ndarray | None = None
     cycle_values: dict[tuple[int, ...], complex] | None = None
-    evaluator: Callable[[Sequence[int], Sequence[int]], complex] | None = None
     slot_grams: np.ndarray | None = None  # [alpha, b, c] = <phi_b|Gamma_{l_alpha}|phi_c>
     output_modes: tuple[int, ...] | None = None  # l-list this J was built for
     detectors: tuple[DetectorModel, ...] | None = None  # per output slot
@@ -85,7 +85,10 @@ class JMatrix:
 
     @property
     def detector_dependent(self) -> bool:
-        return bool(self.detectors) and not all(d.is_ideal for d in self.detectors)
+        """Whether the entries change with the output configuration: only
+        when the slots carry different detectors (ideal ones count as equal)."""
+        dets = self.detectors or ()
+        return len(set(dets)) > 1 and not all(d.is_ideal for d in dets)
 
     def entry(self, s1: Sequence[int], s2: Sequence[int]) -> complex:
         """J(s1, s2) for image arrays s1, s2."""
@@ -93,10 +96,8 @@ class JMatrix:
             return complex(self.dense[permutation_index(tuple(s1)), permutation_index(tuple(s2))])
         if self.storage == "cycle":
             return complex(self.cycle_values[relative_cycle_type(s1, s2)])
-        if self.slot_grams is not None:
-            i1, i2 = np.asarray(s1, dtype=np.intp), np.asarray(s2, dtype=np.intp)
-            return complex(np.prod(self.slot_grams[np.arange(self.n), i1, i2]))
-        return complex(self.evaluator(tuple(s1), tuple(s2)))
+        i1, i2 = np.asarray(s1, dtype=np.intp), np.asarray(s2, dtype=np.intp)
+        return complex(np.prod(self.slot_grams[np.arange(self.n), i1, i2]))
 
     def as_dense(self) -> np.ndarray:
         """Materialize the full matrix (N <= DENSE_CAP only)."""
@@ -111,7 +112,7 @@ class JMatrix:
             for alpha in range(self.n):
                 idx = perms[:, alpha]
                 out *= self.slot_grams[alpha][idx[:, None], idx[None, :]]
-        else:  # cycle values or a per-entry evaluator, one triangle of a Hermitian J
+        else:  # cycle values, one triangle of a Hermitian J
             out = np.empty((nf, nf), dtype=complex)
             for i in range(nf):
                 for j in range(i, nf):
@@ -123,9 +124,9 @@ class JMatrix:
     def context_matches(self, output_modes: Sequence[int]) -> bool:
         """Whether this J may be used for the given output mode list.
 
-        With any non-ideal detector the entries depend on the l-list, so an
-        exact match is required; with all-ideal detectors J is output
-        independent."""
+        With different slot detectors the entries depend on the l-list, so an
+        exact match is required; with one detector on every slot (or ideal
+        ones) J is output independent."""
         if not self.detector_dependent:
             return self.output_modes is None or len(output_modes) == self.n
         return self.output_modes == tuple(output_modes)
@@ -258,89 +259,69 @@ def build_mixed(states: Sequence[PureState | MixedState],
     permutations of its internal labels, which rules out independent
     within-mode jitter (it would not even be trace normalized after
     symmetrization).
+
+    Dense-only (N <= DENSE_CAP); identical sources with identical detectors
+    have the cycle-compressed form ``build_cycle_compressed`` at any N.
     """
     n = len(states)
+    if n > DENSE_CAP:
+        raise SizeLimitError(
+            f"mixed J builds are dense-only (N <= {DENSE_CAP}), got N={n}; for identical "
+            "sources and detectors use build_cycle_compressed"
+        )
     detectors = _check_slot_detectors(n, detectors)
     _validate_block_states(states, input_modes)
 
+    correlated: list[list[int]] = []  # slot blocks of multiply-occupied mixed modes
     if input_modes is not None:
         groups: dict[int, list[int]] = {}
         for slot, mode in enumerate(input_modes):
             groups.setdefault(mode, []).append(slot)
         correlated = [slots for slots in groups.values()
                       if len(slots) > 1 and len(pure_components(states[slots[0]])) > 1]
-        if correlated:
-            return _build_mixed_correlated(states, detectors, correlated,
-                                           output_modes, input_modes)
-
-    basis, rho_ops, det_ops = _operator_setup(states, detectors)
-    det_slot_ops = [det_ops[d] for d in detectors]
-
-    identical_sources = all(
-        pure_components(st) == pure_components(states[0]) for st in states
-    )
-    same_detectors = len(set(detectors)) == 1
-
-    if n <= DENSE_CAP:
-        perms = permutation_array(n)
-        nf = perms.shape[0]
-        dense = np.empty((nf, nf), dtype=complex)
-        if identical_sources and same_detectors:
-            # entries depend only on the cycle type of the relative permutation
-            cache: dict[tuple[int, ...], complex] = {}
-            for i in range(nf):
-                for j in range(i, nf):
-                    ct = relative_cycle_type(perms[i], perms[j])
-                    val = cache.get(ct)
-                    if val is None:
-                        val = _entry_via_cycles(rho_ops, det_slot_ops, perms[i], perms[j])
-                        cache[ct] = val
-                    dense[i, j] = val
-                    dense[j, i] = np.conj(val)
-        else:
-            for i in range(nf):
-                for j in range(i, nf):
-                    val = _entry_via_cycles(rho_ops, det_slot_ops, perms[i], perms[j])
-                    dense[i, j] = val
-                    dense[j, i] = np.conj(val)
-        return JMatrix(n, "dense", dense=dense,
-                       output_modes=tuple(output_modes) if output_modes is not None else None,
-                       detectors=detectors,
-                       input_modes=tuple(input_modes) if input_modes is not None else None)
-
-    def evaluator(s1, s2):
-        return _entry_via_cycles(rho_ops, det_slot_ops, s1, s2)
-
-    return JMatrix(n, "lazy", evaluator=evaluator,
-                   output_modes=tuple(output_modes) if output_modes is not None else None,
-                   detectors=detectors,
-                   input_modes=tuple(input_modes) if input_modes is not None else None)
-
-
-def _build_mixed_correlated(states, detectors, correlated_blocks,
-                            output_modes, input_modes) -> JMatrix:
-    """Mixture over joint draws of the multiply-occupied modes; remaining
-    slots keep their own (independent) mixed operators."""
-    n = len(states)
-    if n > DENSE_CAP:
-        raise SizeLimitError(
-            f"correlated mixed builds are dense-only (N <= {DENSE_CAP}), got N={n}"
-        )
-    draw_axes = [pure_components(states[slots[0]]) for slots in correlated_blocks]
+    # mixture over joint draws of the correlated blocks (a single draw without
+    # them); the remaining slots keep their own independent mixed operators
+    draw_axes = [pure_components(states[slots[0]]) for slots in correlated]
     nf = math.factorial(n)
     dense = np.zeros((nf, nf), dtype=complex)
     for combo in itertools.product(*draw_axes):
         weight = math.prod(w for w, _ in combo)
         slot_states: list = list(states)
-        for slots, (_, drawn) in zip(correlated_blocks, combo):
+        for slots, (_, drawn) in zip(correlated, combo):
             for s in slots:
                 slot_states[s] = drawn
-        part = build_mixed(slot_states, detectors)  # no multi-occupied mixtures left
-        dense += weight * part.as_dense()
+        dense += weight * _independent_mixed_dense(slot_states, detectors)
     return JMatrix(n, "dense", dense=dense,
                    output_modes=tuple(output_modes) if output_modes is not None else None,
-                   detectors=tuple(detectors),
+                   detectors=detectors,
                    input_modes=tuple(input_modes) if input_modes is not None else None)
+
+
+def _independent_mixed_dense(states, detectors) -> np.ndarray:
+    """Dense J of independently fluctuating photons, entry by cycle traces."""
+    basis, rho_ops, det_ops = _operator_setup(states, detectors)
+    det_slot_ops = [det_ops[d] for d in detectors]
+    # identical sources and detectors: entries depend only on the cycle type
+    # of the relative permutation
+    by_cycle_type = len(set(detectors)) == 1 and all(
+        pure_components(st) == pure_components(states[0]) for st in states
+    )
+    cache: dict[tuple[int, ...], complex] = {}
+    perms = permutation_array(len(states))
+    nf = perms.shape[0]
+    dense = np.empty((nf, nf), dtype=complex)
+    for i in range(nf):
+        for j in range(i, nf):
+            if by_cycle_type:
+                ct = relative_cycle_type(perms[i], perms[j])
+                if ct not in cache:
+                    cache[ct] = _entry_via_cycles(rho_ops, det_slot_ops, perms[i], perms[j])
+                val = cache[ct]
+            else:
+                val = _entry_via_cycles(rho_ops, det_slot_ops, perms[i], perms[j])
+            dense[i, j] = val
+            dense[j, i] = np.conj(val)
+    return dense
 
 
 def build_cycle_compressed(rho: PureState | MixedState, det: DetectorModel,
@@ -363,58 +344,38 @@ def build_cycle_compressed(rho: PureState | MixedState, det: DetectorModel,
 def build_extreme(kind: str, occupation: Sequence[int],
                   detectors: Sequence[DetectorModel],
                   states: Sequence[PureState]) -> JMatrix:
-    """The two extreme cases with arbitrary detectors.
+    """The two extreme cases with arbitrary detectors, as pure builds.
 
     kind='ind': completely indistinguishable photons, J = D * (all ones) with
     the detection probability D = prod_a <phi|Gamma_{l_a}|phi>.
     kind='cl': maximally distinguishable photons (cross-mode orthogonal,
-    identical within a mode), block form with detector factors D(tau).
+    identical within a mode), block form with detector factors D(tau); the
+    slot Grams are zeroed across input modes so the blocks are exact.
     """
     n = int(sum(occupation))
     detectors = _check_slot_detectors(n, detectors)
     input_modes = mode_list(occupation)
-    if n > DENSE_CAP:
-        raise SizeLimitError(f"extreme-case dense builds capped at N <= {DENSE_CAP}")
-    perms = permutation_array(n)
-    nf = perms.shape[0]
 
     if kind == "ind":
         if len(set(states)) != 1:
             raise ValidationError("'ind' needs a single common spectral state")
-        phi = states[0]
-        d = 1.0
-        for det in detectors:
-            d *= overlap(phi, det, phi).real
-        return JMatrix(n, "dense", dense=np.full((nf, nf), complex(d)),
-                       detectors=detectors, input_modes=input_modes)
+        return build_pure([states[0]] * n, detectors, input_modes=input_modes)
 
     if kind != "cl":
         raise ValidationError(f"extreme kind must be 'ind' or 'cl', got {kind!r}")
     if len(states) != n:
         raise ValidationError("'cl' needs one state per photon slot")
-    _validate_block_states(states, input_modes)
-    for a in range(n):
-        for b in range(a + 1, n):
-            if input_modes[a] == input_modes[b]:
-                continue
-            for det in set(detectors):
-                if abs(overlap(states[a], det, states[b])) > 1e-12:
-                    raise ValidationError(
-                        f"'cl' requires cross-mode orthogonal states (slots {a},{b} overlap)"
-                    )
-    diag = {det: np.array([overlap(s, det, s).real for s in states]) for det in set(detectors)}
-    dense = np.zeros((nf, nf), dtype=complex)
-    for i in range(nf):
-        for j in range(nf):
-            # nonzero only when s2 s1^{-1} preserves the mode blocks
-            s1, s2 = perms[i], perms[j]
-            if any(input_modes[s1[a]] != input_modes[s2[a]] for a in range(n)):
-                continue
-            val = 1.0
-            for a in range(n):
-                val *= diag[detectors[a]][s1[a]]
-            dense[i, j] = val
-    return JMatrix(n, "dense", dense=dense, detectors=detectors, input_modes=input_modes)
+    jm = build_pure(states, detectors, input_modes=input_modes)
+    ks = np.asarray(input_modes)
+    same_mode = ks[:, None] == ks[None, :]
+    cross = np.abs(jm.slot_grams * ~same_mode) > 1e-12
+    if cross.any():
+        _, a, b = np.argwhere(cross)[0]
+        raise ValidationError(
+            f"'cl' requires cross-mode orthogonal states (slots {a},{b} overlap)"
+        )
+    jm.slot_grams *= same_mode
+    return jm
 
 
 # -- reductions and measures ----------------------------------------------------

@@ -3,10 +3,10 @@
 All engines compute P(m|n) for the same physical input and must agree; they
 differ in the route:
 
-* prob_jmatrix: with the partial-indistinguishability matrix J. A pure J
-  (per-slot Grams) is evaluated as the sum of N! permanents over tau =
-  s2 s1^{-1}, P = (1/(mu mu)) sum_tau per(A_tau); any other J through the
-  N!^2 quadratic form X^dagger J X, dense or streamed entry by entry;
+* prob_jmatrix: with the partial-indistinguishability matrix J. A J with
+  structure (per-slot Grams or cycle-type values) is evaluated as the sum of
+  N! permanents over tau = s2 s1^{-1}, P = (1/(mu mu)) sum_tau per(A_tau); a
+  J stored as a dense matrix through the N!^2 quadratic form X^dagger J X;
 * prob_permanent_basis: finite-basis sum of |per(U[n|m] . S(j))|^2 over basis
   tuples (single photon or vacuum per input mode);
 * prob_general: the general ensemble formula with tensor coefficients C and
@@ -37,7 +37,7 @@ from .errors import (
     UnsupportedInputError,
     ValidationError,
 )
-from .jmatrix import DENSE_CAP, JMatrix, build_mixed, build_pure
+from .jmatrix import JMatrix, build_mixed, build_pure
 from .network import check_occupation, enumerate_outputs, mode_list, mu, submatrix
 from .permanent import permanent_ryser, permanent_ryser_batch
 from .spectral import (
@@ -127,11 +127,13 @@ def path_amplitude_vector(jm: JMatrix, u: np.ndarray, n_occ, m_occ) -> np.ndarra
 def prob_jmatrix(jm: JMatrix, u: np.ndarray, n_occ, m_occ) -> ProbabilityResult:
     """P = (1/(mu(m) mu(n))) X^dagger J X with X the path products.
 
-    A J that carries per-slot Grams (``build_pure``) is evaluated without the
-    quadratic form: substituting tau = s2 s1^{-1} turns it into
-    sum_tau per(A_tau) with
+    Two routes, chosen by the storage of J. A J with structure (per-slot
+    Grams, or one value per cycle type) is evaluated without the quadratic
+    form: substituting tau = s2 s1^{-1} turns it into sum_tau per(A_tau) with
     A_tau[b, a] = conj(U[k_b, l_a]) U[k_tau(b), l_a] G_{l_a}[b, tau(b)]
-    (Shchesnovich, PRA 91, 013844, 2015; Tichy, PRA 91, 022316, 2015)."""
+    (Shchesnovich, PRA 91, 013844, 2015; Tichy, PRA 91, 022316, 2015), or
+    J_ct(tau) per(conj(U[k_b, l_a]) U[k_tau(b), l_a]) for a cycle J. A J
+    stored as a dense matrix goes through X^dagger J X."""
     n_occ, m_occ, n = _sizes(n_occ, m_occ, u.shape[0])
     if n > JMATRIX_MAX_N:
         raise SizeLimitError(f"prob_jmatrix capped at N <= {JMATRIX_MAX_N}, got {n}")
@@ -145,44 +147,37 @@ def prob_jmatrix(jm: JMatrix, u: np.ndarray, n_occ, m_occ) -> ProbabilityResult:
         )
     if n == 0:
         return _finalize(1.0 + 0j, m_occ, "jmatrix")
-    if jm.slot_grams is not None:
-        route = "tau-permanent"
-        raw = _tau_permanent_sum(jm.slot_grams, submatrix(u, n_occ, m_occ))
-    else:
+    if jm.storage == "dense":
         x = _path_products(u, n_occ, m_occ)
-        if n <= DENSE_CAP or jm.dense is not None:
-            route, raw = "dense", np.vdot(x, jm.as_dense() @ x)
-        else:
-            route, raw = "streamed", _quadratic_form_streamed(jm, x, n)
+        route, raw = "dense", np.vdot(x, jm.dense @ x)
+    else:
+        route, raw = "tau-permanent", _tau_permanent_sum(jm, submatrix(u, n_occ, m_occ))
     log.debug("prob_jmatrix: %s route, N=%d, %d tau terms", route, n,
               math.factorial(n) if route == "tau-permanent" else 0)
     raw /= mu(n_occ) * mu(m_occ)
     return _finalize(raw, m_occ, "jmatrix")
 
 
-def _tau_permanent_sum(slot_grams: np.ndarray, usub: np.ndarray) -> complex:
+def _tau_permanent_sum(jm: JMatrix, usub: np.ndarray) -> complex:
     """sum_tau per(A_tau) over every tau in S_N, in stacks of at most
-    PERMANENT_STACK_ELEMENTS entries; usub[b, a] = U[k_b, l_a]."""
+    PERMANENT_STACK_ELEMENTS entries; usub[b, a] = U[k_b, l_a]. A cycle J
+    weights per(conj(U[k_b, l_a]) U[k_tau(b), l_a]) by J_ct(tau)."""
     n = usub.shape[0]
     taus = permutation_array(n)
     rows = np.arange(n)
+    if jm.slot_grams is None:
+        weights = np.array([jm.entry(rows, tau) for tau in taus])  # J(id, tau) = J_ct(tau)
     step = max(1, PERMANENT_STACK_ELEMENTS // (n * n))
     total = 0.0 + 0.0j
     for start in range(0, len(taus), step):
         tau = taus[start:start + step]
-        grams = slot_grams[:, rows, tau].transpose(1, 2, 0)  # [tau, b, a] = G_{l_a}[b, tau(b)]
-        total += permanent_ryser_batch(usub.conj() * usub[tau] * grams).sum()
+        stack = usub.conj() * usub[tau]
+        if jm.slot_grams is None:
+            total += weights[start:start + step] @ permanent_ryser_batch(stack)
+        else:
+            stack *= jm.slot_grams[:, rows, tau].transpose(1, 2, 0)  # G_{l_a}[b, tau(b)]
+            total += permanent_ryser_batch(stack).sum()
     return total
-
-
-def _quadratic_form_streamed(jm: JMatrix, x: np.ndarray, n: int) -> complex:
-    perms = permutation_array(n)
-    nf = perms.shape[0]
-    acc = 0.0 + 0.0j
-    for i in range(nf):
-        row = np.array([jm.entry(perms[i], perms[j]) for j in range(nf)])
-        acc += np.conj(x[i]) * (row @ x)
-    return acc
 
 
 # -- permanent-basis engine -----------------------------------------------------
@@ -521,8 +516,9 @@ def _one_output(engine: str, u, n_occ, m_occ, photons, detectors, ensemble):
         ks = mode_list(n_occ)
         if any(is_mixed(p) for p in photons):
             jm = build_mixed(photons, slot_dets, output_modes=ls, input_modes=ks)
-        else:
-            jm = build_pure(photons, slot_dets, output_modes=ls, input_modes=ks)
+        else:  # single-component MixedStates are pure photons
+            jm = build_pure([pure_components(p)[0][1] for p in photons], slot_dets,
+                            output_modes=ls, input_modes=ks)
         return prob_jmatrix(jm, u, n_occ, m_occ)
     raise ValidationError(f"unknown engine {engine!r}; choose from {ENGINES}")
 

@@ -1,8 +1,10 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import markov_distribution
 from multiphoton.errors import (
@@ -11,7 +13,14 @@ from multiphoton.errors import (
     UnsupportedInputError,
     ValidationError,
 )
-from multiphoton.jmatrix import JMatrix, build_cycle_compressed, build_pure, reduce_jmatrix
+from multiphoton.jmatrix import (
+    JMatrix,
+    build_cycle_compressed,
+    build_extreme,
+    build_mixed,
+    build_pure,
+    reduce_jmatrix,
+)
 from multiphoton.network import enumerate_outputs, fourier, mode_list, mu, random_unitary
 from multiphoton.probability import (
     GeneralEnsemble,
@@ -179,8 +188,6 @@ def test_multi_occupancy_mixed_jmatrix_vs_oracle_vs_general():
     """Mixed states on a doubly occupied mode: the two photons share each
     ensemble draw (independent within-mode jitter is not a valid one-mode
     photon pair); all engines agree and the ideal-detector sum is 1."""
-    from multiphoton.jmatrix import build_mixed
-
     u = random_unitary(3, 321)
     rho = MixedState.ensemble([(0.4, GaussianState(0.0, 1.0, 0.0)),
                                (0.6, GaussianState(0.0, 1.0, 1.1))])
@@ -362,26 +369,6 @@ def test_vacuum_input():
     assert dist.total == pytest.approx(1.0)
 
 
-def test_lazy_streamed_quadratic_form_matches_dense(rng):
-    """Force the lazy streaming path on a size where the dense result is
-    available as the oracle."""
-    from multiphoton.probability import _quadratic_form_streamed, _path_products
-
-    u = random_unitary(4, 13)
-    photons = gaussians(0.0, 0.6, 1.3)
-    n_occ, m_occ = (1, 1, 1, 0), (0, 1, 1, 1)
-    dets = (IDEAL, DetectorModel.flat(0.8), DetectorModel.flat(0.9), IDEAL)
-    slot = tuple(dets[l] for l in mode_list(m_occ))
-    jm = build_pure(photons, slot, output_modes=mode_list(m_occ))
-    dense = jm.as_dense()
-    x = _path_products(u, n_occ, m_occ)
-    expected = np.vdot(x, dense @ x)
-
-    lazy = JMatrix(3, "lazy", evaluator=jm.entry, detectors=slot,
-                   output_modes=mode_list(m_occ))
-    assert _quadratic_form_streamed(lazy, x, 3) == pytest.approx(expected, abs=1e-14)
-
-
 MIXED_DETECTORS = (IDEAL, DetectorModel.flat(0.8),
                    DetectorModel.gaussian_band(center=0.3, width=1.2, peak=0.9))
 
@@ -421,13 +408,32 @@ def test_tau_route_names_itself_in_debug_log(caplog):
     u = random_unitary(3, 21)
     jm = build_j_for(gaussians(0.0, 0.5, 1.0), (1, 1, 1))
     dense = JMatrix(3, "dense", dense=jm.as_dense(), output_modes=jm.output_modes)
+    cycle = build_cycle_compressed(MixedState.gaussian_time_jitter(0.0, 1.0, 0.5, nodes=8),
+                                   IDEAL, 3)
     with caplog.at_level("DEBUG", logger="multiphoton.probability"):
         prob_jmatrix(jm, u, (1, 1, 1), (1, 1, 1))
         prob_jmatrix(dense, u, (1, 1, 1), (1, 1, 1))
+        prob_jmatrix(cycle, u, (1, 1, 1), (1, 1, 1))
     assert [r.getMessage() for r in caplog.records] == [
         "prob_jmatrix: tau-permanent route, N=3, 6 tau terms",
         "prob_jmatrix: dense route, N=3, 0 tau terms",
+        "prob_jmatrix: tau-permanent route, N=3, 6 tau terms",
     ]
+
+
+def test_mixed_build_above_dense_cap_refused_before_any_work(monkeypatch):
+    """A mixed J is dense-only: at N = 7 build_mixed raises SizeLimitError
+    before validating or setting up any spectral operator."""
+    from multiphoton import jmatrix
+
+    def fail(*args, **kwargs):
+        raise AssertionError("build_mixed did work before its size check")
+
+    for name in ("_check_slot_detectors", "_validate_block_states", "_operator_setup"):
+        monkeypatch.setattr(jmatrix, name, fail)
+    rho = MixedState.gaussian_time_jitter(0.0, 1.0, 0.5, nodes=8)
+    with pytest.raises(SizeLimitError, match="build_cycle_compressed"):
+        jmatrix.build_mixed([rho] * 7, (IDEAL,) * 7, input_modes=tuple(range(7)))
 
 
 def test_seven_photon_streamed_identical_photons():
@@ -456,8 +462,13 @@ def test_eight_photon_tau_route_limits(gap, reference):
     m_occ = (0, 2, 1, 1, 0, 1, 1, 1, 1)
     jm = build_pure(gaussians(*(gap * i for i in range(8))), (IDEAL,) * 8,
                     output_modes=mode_list(m_occ))
-    p = prob_jmatrix(jm, u, n_occ, m_occ).p
-    assert p == pytest.approx(reference(u, n_occ, m_occ).p, rel=1e-9)
+    expected = reference(u, n_occ, m_occ).p
+    assert prob_jmatrix(jm, u, n_occ, m_occ).p == pytest.approx(expected, rel=1e-9)
+    if gap == 0.0:  # identical photons also as a cycle J and an extreme 'ind' J
+        g = GaussianState(0.0, 1.0, 0.0)
+        for other in (build_cycle_compressed(g, IDEAL, 8),
+                      build_extreme("ind", n_occ, (IDEAL,) * 8, [g])):
+            assert prob_jmatrix(other, u, n_occ, m_occ).p == pytest.approx(expected, rel=1e-9)
 
 
 @pytest.mark.parametrize("eps", [1e-3, 1e-5])
@@ -474,6 +485,87 @@ def test_tau_route_nearly_indistinguishable_matches_oracle(eps, n_occ):
     for m_occ in outputs[::max(1, len(outputs) // 15)]:
         p = prob_jmatrix(build_j_for(photons, m_occ, dets, n_occ), u, n_occ, m_occ).p
         assert p == pytest.approx(prob_oracle(photons, dets, u, n_occ, m_occ).p, abs=1e-9)
+
+
+@st.composite
+def structured_j_cases(draw):
+    """A structured J (pure with per-mode detectors, cycle from a jitter
+    state, or extreme 'ind'/'cl') on N <= 5 photons in M <= N + 1 modes,
+    with multi-occupancy allowed on both sides."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, n + 1))
+    slots = st.lists(st.integers(0, m - 1), min_size=n, max_size=n)
+    n_occ = tuple(int(c) for c in np.bincount(draw(slots), minlength=m))
+    m_occ = tuple(int(c) for c in np.bincount(draw(slots), minlength=m))
+    ks, ls = mode_list(n_occ), mode_list(m_occ)
+    dets = draw(st.lists(st.sampled_from(MIXED_DETECTORS), min_size=m, max_size=m))
+    slot_dets = tuple(dets[l] for l in ls)
+    kind = draw(st.sampled_from(["pure", "cycle", "ind", "cl"]))
+    if kind == "pure":
+        times = draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m))
+        jm = build_pure([GaussianState(0.0, 1.0, times[k]) for k in ks], slot_dets,
+                        output_modes=ls, input_modes=ks)
+    elif kind == "cycle":
+        rho = MixedState.gaussian_time_jitter(0.0, 1.0, draw(st.floats(0.1, 1.0)), nodes=8)
+        jm = build_cycle_compressed(rho, dets[0], n)
+    else:  # build_extreme records no output context; this J is for ls
+        if kind == "ind":
+            states = [GaussianState(0.0, 1.0, draw(st.floats(-1.0, 1.0)))]
+        else:  # input modes 20 widths apart: cross-mode overlaps below exp(-50)
+            states = [GaussianState(0.0, 1.0, 20.0 * k) for k in ks]
+        jm = replace(build_extreme(kind, n_occ, slot_dets, states), output_modes=ls)
+    return jm, random_unitary(m, draw(st.integers(0, 2**16))), n_occ, m_occ
+
+
+@given(structured_j_cases())
+@settings(deadline=None, max_examples=100)
+def test_tau_route_property_matches_dense_quadratic_form(case):
+    """Every structured J takes the tau route and equals X^dagger J X / (mu mu)
+    for the same J stored densely."""
+    from multiphoton.probability import _path_products
+
+    jm, u, n_occ, m_occ = case
+    assert jm.storage != "dense"
+    p = prob_jmatrix(jm, u, n_occ, m_occ).p
+    dense = JMatrix(jm.n, "dense", dense=jm.as_dense(), output_modes=jm.output_modes,
+                    detectors=jm.detectors, input_modes=jm.input_modes)
+    x = _path_products(u, n_occ, m_occ)
+    expected = np.vdot(x, dense.dense @ x).real / (mu(n_occ) * mu(m_occ))
+    assert abs(p - expected) <= 1e-12
+    assert abs(prob_jmatrix(dense, u, n_occ, m_occ).p - expected) <= 1e-12
+
+
+def test_cycle_j_with_lossy_detector_matches_mixed_build_on_every_output():
+    """A cycle J with one non-ideal detector on every slot does not depend on
+    the output: it is accepted for every output and agrees with the dense
+    mixed build made for that output."""
+    rho = MixedState.gaussian_time_jitter(0.0, 1.0, 0.6, nodes=12)
+    flat = DetectorModel.flat(0.9)
+    cycle = build_cycle_compressed(rho, flat, 3)
+    u = random_unitary(4, 43)
+    n_occ = (1, 1, 1, 0)
+    for m_occ in enumerate_outputs(4, 3):
+        mixed = build_mixed([rho] * 3, (flat,) * 3, output_modes=mode_list(m_occ),
+                            input_modes=mode_list(n_occ))
+        p = prob_jmatrix(cycle, u, n_occ, m_occ).p
+        assert p == pytest.approx(prob_jmatrix(mixed, u, n_occ, m_occ).p, abs=1e-10)
+
+
+@pytest.mark.parametrize("photons", [
+    [MixedState.pure(GaussianState(0.0, 1.0, 0.0)),
+     MixedState.pure(GaussianState(0.0, 1.0, 0.0).delayed(0.7))],
+    [MixedState.gaussian_time_jitter(0.0, 1.0, 0.0),
+     MixedState.gaussian_time_jitter(0.0, 1.0, 0.0, mean_time=0.7)],
+])
+def test_jmatrix_distribution_of_single_component_mixed_photons(photons):
+    """Single-component MixedStates are pure photons: the jmatrix sweep
+    unwraps them and matches the oracle."""
+    u = fourier(2)
+    jm = output_distribution("jmatrix", u, (1, 1), photons=photons)
+    oracle = output_distribution("oracle", u, (1, 1), photons=photons)
+    assert [r.m for r in jm.results] == [r.m for r in oracle.results]
+    for a, b in zip(jm.results, oracle.results):
+        assert abs(a.p - b.p) <= 1e-12
 
 
 def test_single_photon_detector_weighted():
