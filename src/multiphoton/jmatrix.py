@@ -343,7 +343,8 @@ def build_cycle_compressed(rho: PureState | MixedState, det: DetectorModel,
 
 def build_extreme(kind: str, occupation: Sequence[int],
                   detectors: Sequence[DetectorModel],
-                  states: Sequence[PureState]) -> JMatrix:
+                  states: Sequence[PureState], *,
+                  output_modes: Sequence[int] | None = None) -> JMatrix:
     """The two extreme cases with arbitrary detectors, as pure builds.
 
     kind='ind': completely indistinguishable photons, J = D * (all ones) with
@@ -351,6 +352,8 @@ def build_extreme(kind: str, occupation: Sequence[int],
     kind='cl': maximally distinguishable photons (cross-mode orthogonal,
     identical within a mode), block form with detector factors D(tau); the
     slot Grams are zeroed across input modes so the blocks are exact.
+    ``output_modes`` is the l-list the slot detectors belong to, as in
+    ``build_pure``; a J with different slot detectors needs it to be used.
     """
     n = int(sum(occupation))
     detectors = _check_slot_detectors(n, detectors)
@@ -359,13 +362,14 @@ def build_extreme(kind: str, occupation: Sequence[int],
     if kind == "ind":
         if len(set(states)) != 1:
             raise ValidationError("'ind' needs a single common spectral state")
-        return build_pure([states[0]] * n, detectors, input_modes=input_modes)
+        return build_pure([states[0]] * n, detectors, output_modes=output_modes,
+                          input_modes=input_modes)
 
     if kind != "cl":
         raise ValidationError(f"extreme kind must be 'ind' or 'cl', got {kind!r}")
     if len(states) != n:
         raise ValidationError("'cl' needs one state per photon slot")
-    jm = build_pure(states, detectors, input_modes=input_modes)
+    jm = build_pure(states, detectors, output_modes=output_modes, input_modes=input_modes)
     ks = np.asarray(input_modes)
     same_mode = ks[:, None] == ks[None, :]
     cross = np.abs(jm.slot_grams * ~same_mode) > 1e-12

@@ -10,7 +10,10 @@ differ in the route:
 * prob_permanent_basis: finite-basis sum of |per(U[n|m] . S(j))|^2 over basis
   tuples (single photon or vacuum per input mode);
 * prob_general: the general ensemble formula with tensor coefficients C and
-  permanents of Hadamard products U[n|m] . B(j, j');
+  permanents of Hadamard products U[n|m] . B(j, j'); an ensemble whose
+  components are products c_1 x ... x c_N (every from_photons ensemble) folds
+  each component into one permanent per basis tuple, since a permanent is
+  linear in each row;
 * prob_classical: the Markov-chain form for maximally distinguishable photons;
 * prob_ideal_indistinguishable: |per(U[n|m])|^2 / (mu mu);
 * prob_oracle: direct expansion of both vacuum expectation values through the
@@ -38,7 +41,7 @@ from .errors import (
     ValidationError,
 )
 from .jmatrix import JMatrix, build_mixed, build_pure
-from .network import check_occupation, enumerate_outputs, mode_list, mu, submatrix
+from .network import check_occupation, enumerate_outputs, mode_list, mu
 from .permanent import permanent_ryser, permanent_ryser_batch
 from .spectral import (
     IDEAL,
@@ -60,7 +63,7 @@ NEGATIVE_CLAMP = -1e-9   # below this a negative probability is a hard error
 IMAG_RESIDUAL_TOL = 1e-10
 ORACLE_MAX_N = 5
 JMATRIX_MAX_N = 8
-PERMANENT_STACK_ELEMENTS = 1 << 14  # bounds each permanent stack of prob_general and prob_jmatrix
+PERMANENT_STACK_ELEMENTS = 1 << 14  # bounds each permanent stack of permanent, general and jmatrix
 
 
 @dataclass(frozen=True)
@@ -99,6 +102,11 @@ def _sizes(n_occ, m_occ, modes: int):
     return n_occ, m_occ, sum(n_occ)
 
 
+def _usub(u: np.ndarray, n_occ, m_occ) -> np.ndarray:
+    """U[n|m] for occupations that ``_sizes`` has already checked."""
+    return np.asarray(u, dtype=complex)[np.ix_(mode_list(n_occ), mode_list(m_occ))]
+
+
 def _path_products(u: np.ndarray, n_occ, m_occ) -> np.ndarray:
     """X_sigma = prod_alpha U[k_{sigma(alpha)}, l_alpha] over canonical order."""
     n = sum(n_occ)
@@ -108,17 +116,6 @@ def _path_products(u: np.ndarray, n_occ, m_occ) -> np.ndarray:
         return np.ones(1, dtype=complex)
     perms = permutation_array(n)
     return np.prod(u[ks[perms], ls[None, :]], axis=1)
-
-
-def path_amplitude_vector(jm: JMatrix, u: np.ndarray, n_occ, m_occ) -> np.ndarray:
-    """Detector-reduced path amplitudes X_sigma = sqrt(J(s,s)) prod U."""
-    x = _path_products(u, n_occ, m_occ)
-    n = sum(n_occ)
-    perms = permutation_array(n) if n else np.zeros((1, 0), dtype=np.intp)
-    diag = np.array([jm.entry(p, p).real for p in perms])
-    if np.any(diag < -1e-12):
-        raise EngineError("negative diagonal J entry")
-    return np.sqrt(np.clip(diag, 0.0, None)) * x
 
 
 # -- J-matrix engine ---------------------------------------------------------
@@ -151,7 +148,7 @@ def prob_jmatrix(jm: JMatrix, u: np.ndarray, n_occ, m_occ) -> ProbabilityResult:
         x = _path_products(u, n_occ, m_occ)
         route, raw = "dense", np.vdot(x, jm.dense @ x)
     else:
-        route, raw = "tau-permanent", _tau_permanent_sum(jm, submatrix(u, n_occ, m_occ))
+        route, raw = "tau-permanent", _tau_permanent_sum(jm, _usub(u, n_occ, m_occ))
     log.debug("prob_jmatrix: %s route, N=%d, %d tau terms", route, n,
               math.factorial(n) if route == "tau-permanent" else 0)
     raw /= mu(n_occ) * mu(m_occ)
@@ -226,16 +223,29 @@ def _tuple_permanents(usub: np.ndarray, rows: np.ndarray, tuples: np.ndarray,
     return permanent_ryser_batch(stack.reshape(-1, n, n)).reshape(len(tuples), len(cols))
 
 
+def _product_fold(usub: np.ndarray, rows: np.ndarray, tuples: np.ndarray,
+                  weights: np.ndarray, probs: np.ndarray) -> float:
+    """sum_i p_i sum_j w_j |per(U[n|m] . S_{i,j})|^2 for K product components,
+    S_{i,j}[beta, alpha] = rows[alpha, j_alpha, i N + beta]: the photons of
+    component i are its N columns of the (N, r, K N) slot rows. Stacks hold
+    at most PERMANENT_STACK_ELEMENTS entries."""
+    n = usub.shape[0]
+    cols = np.arange(rows.shape[2]).reshape(-1, n)
+    step = max(1, PERMANENT_STACK_ELEMENTS // (len(cols) * n * n))
+    total = 0.0
+    for start in range(0, len(tuples), step):
+        pers = _tuple_permanents(usub, rows, tuples[start:start + step], cols)
+        total += weights[start:start + step] @ ((pers.real**2 + pers.imag**2) @ probs)
+    return float(total)
+
+
 def _permanent_basis_pure(states: Sequence[PureState], slot_dets: Sequence[DetectorModel],
                           u: np.ndarray, n_occ, m_occ) -> float:
     basis = SpanBasis(states)
     sq = {det: basis.detector_sqrt(det) @ basis.coords for det in set(slot_dets)}  # (r, N)
     rows = np.stack([sq[det] for det in slot_dets])
     tuples, weights = _canonical_tuples(basis.rank, _output_blocks(mode_list(m_occ)))
-    # the photons themselves are the columns: S[beta, alpha] = sq[j_alpha, beta]
-    pers = _tuple_permanents(submatrix(u, n_occ, m_occ), rows, tuples,
-                             np.arange(len(states))[None, :])
-    return float(weights @ np.abs(pers[:, 0]) ** 2)
+    return _product_fold(_usub(u, n_occ, m_occ), rows, tuples, weights, np.ones(1))
 
 
 def prob_permanent_basis(photons: Sequence[PureState | MixedState],
@@ -299,10 +309,27 @@ def _mode_correlated_draws(photons: Sequence[PureState | MixedState], n_occ):
 @dataclass
 class GeneralEnsemble:
     """Spectral state of N photons as an ensemble of tensor coefficient
-    arrays over the rank-r span basis."""
+    arrays over the rank-r span basis.
+
+    ``factors``, when set, marks every component as a product
+    C_i = c_{i,1} x ... x c_{i,N}: factors[i] is an (r, N) matrix whose
+    column beta holds the span-basis coordinates c_{i,beta} of the state in
+    slot beta, and must agree with C_i. ``from_photons`` sets them; an
+    ensemble built by hand carries none and is evaluated as entangled."""
 
     basis: SpanBasis
     components: tuple[tuple[float, np.ndarray], ...]
+    factors: tuple[np.ndarray, ...] | None = None
+
+    def __post_init__(self):
+        if self.factors is not None:
+            shape = (self.basis.rank, self.n)
+            if (len(self.factors) != len(self.components)
+                    or any(np.shape(f) != shape for f in self.factors)):
+                raise ValidationError(
+                    f"need one {shape} factor matrix per component, got "
+                    f"{[np.shape(f) for f in self.factors]} for {len(self.components)}"
+                )
 
     @property
     def n(self) -> int:
@@ -327,13 +354,15 @@ class GeneralEnsemble:
             for _, s in pure_components(p):
                 index_of.setdefault(s, pos)
                 pos += 1
-        comps = []
+        comps, factors = [], []
         for weight, states in _mode_correlated_draws(photons, n_occ):
-            tensor = basis.coords[:, index_of[states[0]]]
-            for s in states[1:]:
-                tensor = np.multiply.outer(tensor, basis.coords[:, index_of[s]])
+            factor = basis.coords[:, [index_of[s] for s in states]]
+            tensor = factor[:, 0]
+            for column in factor.T[1:]:
+                tensor = np.multiply.outer(tensor, column)
             comps.append((weight, np.asarray(tensor)))
-        return GeneralEnsemble(basis, tuple(comps))
+            factors.append(factor)
+        return GeneralEnsemble(basis, tuple(comps), tuple(factors))
 
     def validate_symmetry(self, n_occ, tol: float = 1e-10) -> None:
         """The G-function symmetry: C invariant under permutations of tensor
@@ -357,7 +386,16 @@ class GeneralEnsemble:
 def prob_general(ensemble: GeneralEnsemble, detectors: Sequence[DetectorModel] | None,
                  u: np.ndarray, n_occ, m_occ) -> ProbabilityResult:
     """General multi-occupancy, entangled-spectral-ensemble probability:
-    P = (1/(mu mu)) sum_i p_i sum_j |sum_j' C_{j'} per(U[n|m] . B(j, j'))|^2."""
+    P = (1/(mu mu)) sum_i p_i sum_j |sum_j' C_{j'} per(U[n|m] . B(j, j'))|^2
+    with B(j, j')[beta, alpha] = <j_alpha| sqrt(Gamma_{l_alpha}) |j'_beta>.
+
+    The route follows from the ensemble. When it carries product factors and
+    has no more components K than r^N, each component folds into one
+    permanent per basis tuple (the permanent is linear in each row):
+    P = (1/(mu mu)) sum_i p_i sum_j |per(U[n|m] . S_{i,j})|^2 with
+    S_{i,j}[beta, alpha] = <j_alpha| sqrt(Gamma_{l_alpha}) |c_{i,beta}>, K
+    permanents per tuple. Otherwise (entangled tensors, or K > r^N) the r^N
+    permanents per tuple are shared by every component."""
     n_occ, m_occ, n = _sizes(n_occ, m_occ, u.shape[0])
     if ensemble.n != n:
         raise ValidationError(f"ensemble describes {ensemble.n} photons, instance has {n}")
@@ -368,20 +406,28 @@ def prob_general(ensemble: GeneralEnsemble, detectors: Sequence[DetectorModel] |
     if n == 0:
         return _finalize(1.0 + 0j, m_occ, "general")
     slot_dets = _slot_detectors(detectors, m_occ, u.shape[0])
-    usub = submatrix(u, n_occ, m_occ)
+    usub = _usub(u, n_occ, m_occ)
     sqrt_ops = {det: ensemble.basis.detector_sqrt(det) for det in set(slot_dets)}
     rows = np.stack([sqrt_ops[det] for det in slot_dets])
-    jp_tuples = np.indices((r,) * n).reshape(n, -1).T
     probs = np.array([w for w, _ in ensemble.components])
-    coeffs = np.stack([np.asarray(c, dtype=complex).reshape(-1) for _, c in ensemble.components])
     tuples, weights = _canonical_tuples(r, _output_blocks(mode_list(m_occ)))
-    step = max(1, PERMANENT_STACK_ELEMENTS // (r**n * n * n))
-    total = 0.0
-    for start in range(0, len(tuples), step):
-        # B(j, j')[beta, alpha] = <j_alpha| sqrt(Gamma_{l_alpha}) |j'_beta>
-        pers = _tuple_permanents(usub, rows, tuples[start:start + step], jp_tuples)
-        amps = pers @ coeffs.T  # (tuples, components)
-        total += weights[start:start + step] @ ((amps.real**2 + amps.imag**2) @ probs)
+    if ensemble.factors is not None and len(probs) <= r**n:
+        route, per_tuple = "product-fold", len(probs)
+        total = _product_fold(usub, rows @ np.concatenate(ensemble.factors, axis=1),
+                              tuples, weights, probs)
+    else:
+        route, per_tuple = "tensor", r**n
+        jp_tuples = np.indices((r,) * n).reshape(n, -1).T
+        coeffs = np.stack([np.asarray(c, dtype=complex).reshape(-1)
+                           for _, c in ensemble.components])
+        step = max(1, PERMANENT_STACK_ELEMENTS // (r**n * n * n))
+        total = 0.0
+        for start in range(0, len(tuples), step):
+            pers = _tuple_permanents(usub, rows, tuples[start:start + step], jp_tuples)
+            amps = pers @ coeffs.T  # (tuples, components)
+            total += weights[start:start + step] @ ((amps.real**2 + amps.imag**2) @ probs)
+    log.debug("prob_general: %s route, N=%d, r=%d, %d canonical tuples, %d permanents",
+              route, n, r, len(tuples), len(tuples) * per_tuple)
     total /= mu(n_occ) * mu(m_occ)
     return _finalize(total, m_occ, "general")
 
@@ -393,7 +439,7 @@ def prob_classical(u: np.ndarray, n_occ, m_occ) -> ProbabilityResult:
     """Indistinguishable classical particles through the Markovian network
     |U|^2: P = per(|U[n|m]|^2) / mu(m)."""
     n_occ, m_occ, n = _sizes(n_occ, m_occ, u.shape[0])
-    a = np.abs(submatrix(u, n_occ, m_occ)) ** 2
+    a = np.abs(_usub(u, n_occ, m_occ)) ** 2
     raw = permanent_ryser(a).real / mu(m_occ)
     return _finalize(raw, m_occ, "classical")
 
@@ -401,7 +447,7 @@ def prob_classical(u: np.ndarray, n_occ, m_occ) -> ProbabilityResult:
 def prob_ideal_indistinguishable(u: np.ndarray, n_occ, m_occ) -> ProbabilityResult:
     """P = |per(U[n|m])|^2 / (mu(m) mu(n))."""
     n_occ, m_occ, n = _sizes(n_occ, m_occ, u.shape[0])
-    per = permanent_ryser(submatrix(u, n_occ, m_occ))
+    per = permanent_ryser(_usub(u, n_occ, m_occ))
     raw = (per.real**2 + per.imag**2) / (mu(n_occ) * mu(m_occ))
     return _finalize(raw, m_occ, "ideal")
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -25,9 +26,9 @@ from multiphoton.network import enumerate_outputs, fourier, mode_list, mu, rando
 from multiphoton.probability import (
     GeneralEnsemble,
     _finalize,
+    _path_products,
     normalization_report,
     output_distribution,
-    path_amplitude_vector,
     prob_classical,
     prob_general,
     prob_ideal_indistinguishable,
@@ -282,6 +283,68 @@ def test_oracle_tensor_contraction_against_explicit_loop(rng):
     assert p_fast == pytest.approx(total.real, abs=1e-12)
 
 
+def _fold_state(x: float, finite: bool):
+    if finite:  # a direction in a rank-3 internal space, for matrix detectors
+        v = np.array([1.0, x, 0.5j * x * x])
+        return FiniteRankState(v / np.linalg.norm(v))
+    return GaussianState(0.0, 1.0, x)
+
+
+def _fold_case(case: str, finite: bool):
+    """(n_occ, photons) in M = 4 modes for the product-fold tests."""
+    s = partial(_fold_state, finite=finite)
+    if case == "single":
+        return (1, 1, 1, 0), [s(0.0), s(0.6), s(1.3)]
+    if case == "multi":
+        return (2, 1, 0, 1), [s(0.0), s(0.0), s(0.7), s(1.4)]
+    if case == "mixed":  # the pair in mode 0 shares each draw: K = 2 x 2 components
+        rho = MixedState.ensemble([(0.3, s(0.0)), (0.7, s(0.5))])
+        other = MixedState.ensemble([(0.5, s(1.0)), (0.5, s(-0.4))])
+        return (2, 1, 0, 0), [rho, rho, other]
+    return (2, 0, 1, 0), [s(0.3)] * 3  # identical photons: a rank-1 span
+
+
+def _matrix_detector(seed: int) -> DetectorModel:
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    return DetectorModel.operator((q * rng.uniform(0.2, 1.0, 3)) @ q.conj().T)
+
+
+FOLD_DETECTORS = {
+    "ideal": None,
+    "flat": (DetectorModel.flat(0.8), DetectorModel.flat(0.6), IDEAL, DetectorModel.flat(0.9)),
+    "band": tuple(DetectorModel.gaussian_band(0.2 * l - 0.3, 1.0 + 0.3 * l, 0.9)
+                  for l in range(4)),
+    "matrix": tuple(_matrix_detector(l) for l in range(4)),
+}
+
+
+@pytest.mark.parametrize("det_kind", list(FOLD_DETECTORS))
+@pytest.mark.parametrize("case", ["single", "multi", "mixed", "identical"])
+def test_product_fold_matches_tensor_route(case, det_kind):
+    """A from_photons ensemble gives the same probability on every output
+    with its product factors (one permanent per tuple and component) and
+    without them (r^N permanents per tuple); both match the oracle."""
+    n_occ, photons = _fold_case(case, finite=det_kind == "matrix")
+    dets = FOLD_DETECTORS[det_kind]
+    u = random_unitary(4, 404)
+    ens = GeneralEnsemble.from_photons(photons, n_occ)
+    assert ens.factors is not None and len(ens.components) <= ens.basis.rank ** ens.n
+    tensor = replace(ens, factors=None)
+    for m_occ in enumerate_outputs(4, sum(n_occ)):
+        p = prob_general(ens, dets, u, n_occ, m_occ).p
+        assert abs(p - prob_general(tensor, dets, u, n_occ, m_occ).p) <= 1e-12
+        assert p == pytest.approx(prob_oracle(photons, dets, u, n_occ, m_occ).p, abs=1e-10)
+
+
+def test_general_ensemble_rejects_misshapen_factors():
+    ens = GeneralEnsemble.from_photons(gaussians(0.0, 0.5, 1.0))
+    with pytest.raises(ValidationError):
+        replace(ens, factors=ens.factors * 2)
+    with pytest.raises(ValidationError):
+        replace(ens, factors=(ens.factors[0][:, :2],))
+
+
 # -- linearity, normalization, limits ----------------------------------------------
 
 
@@ -378,8 +441,6 @@ def test_tau_route_matches_dense_quadratic_form(n):
     """The tau-permanent route of prob_jmatrix equals X^dagger J X / (mu mu)
     with the same J materialised densely: multi-occupancy inputs, colliding
     outputs, and a per-mode mix of ideal, flat and band detectors."""
-    from multiphoton.probability import _path_products
-
     rng = np.random.default_rng(500 + n)
     m = n + 1
     u = random_unitary(m, 600 + n)
@@ -419,6 +480,30 @@ def test_tau_route_names_itself_in_debug_log(caplog):
         "prob_jmatrix: dense route, N=3, 0 tau terms",
         "prob_jmatrix: tau-permanent route, N=3, 6 tau terms",
     ]
+
+
+def test_general_route_names_itself_in_debug_log(caplog):
+    """A product ensemble takes the fold; an entangled hand-built tensor and a
+    product ensemble with more components than r^N take the tensor route."""
+    u = random_unitary(3, 22)
+    n_occ = (1, 1, 0)
+    product = GeneralEnsemble.from_photons(gaussians(0.0, 0.5))
+    e = np.eye(2)
+    entangled = GeneralEnsemble(SpanBasis([FiniteRankState(v) for v in e]),
+                                ((1.0, (np.outer(e[0], e[1]) + np.outer(e[1], e[0])) / 2**0.5),))
+    mixed = [MixedState.ensemble([(1 / 3, FiniteRankState([np.cos(t), np.sin(t)])) for t in ts])
+             for ts in ((0.0, 0.4, 1.1), (0.2, 0.8, 1.5))]
+    many = GeneralEnsemble.from_photons(mixed)  # K = 9 > r^N = 4
+    cases = [(product, (1, 1, 0)), (entangled, (1, 1, 0)), (many, (2, 0, 0))]
+    with caplog.at_level("DEBUG", logger="multiphoton.probability"):
+        results = [prob_general(ens, None, u, n_occ, m_occ).p for ens, m_occ in cases]
+    assert [r.getMessage() for r in caplog.records] == [
+        "prob_general: product-fold route, N=2, r=2, 4 canonical tuples, 4 permanents",
+        "prob_general: tensor route, N=2, r=2, 4 canonical tuples, 16 permanents",
+        "prob_general: tensor route, N=2, r=2, 3 canonical tuples, 12 permanents",
+    ]
+    for p, (ens, m_occ) in zip(results, cases):
+        assert p == pytest.approx(prob_oracle(ens, None, u, n_occ, m_occ).p, abs=1e-12)
 
 
 def test_mixed_build_above_dense_cap_refused_before_any_work(monkeypatch):
@@ -508,12 +593,12 @@ def structured_j_cases(draw):
     elif kind == "cycle":
         rho = MixedState.gaussian_time_jitter(0.0, 1.0, draw(st.floats(0.1, 1.0)), nodes=8)
         jm = build_cycle_compressed(rho, dets[0], n)
-    else:  # build_extreme records no output context; this J is for ls
+    else:
         if kind == "ind":
             states = [GaussianState(0.0, 1.0, draw(st.floats(-1.0, 1.0)))]
         else:  # input modes 20 widths apart: cross-mode overlaps below exp(-50)
             states = [GaussianState(0.0, 1.0, 20.0 * k) for k in ks]
-        jm = replace(build_extreme(kind, n_occ, slot_dets, states), output_modes=ls)
+        jm = build_extreme(kind, n_occ, slot_dets, states, output_modes=ls)
     return jm, random_unitary(m, draw(st.integers(0, 2**16))), n_occ, m_occ
 
 
@@ -522,8 +607,6 @@ def structured_j_cases(draw):
 def test_tau_route_property_matches_dense_quadratic_form(case):
     """Every structured J takes the tau route and equals X^dagger J X / (mu mu)
     for the same J stored densely."""
-    from multiphoton.probability import _path_products
-
     jm, u, n_occ, m_occ = case
     assert jm.storage != "dense"
     p = prob_jmatrix(jm, u, n_occ, m_occ).p
@@ -591,7 +674,7 @@ def test_reduced_quadratic_form_equals_probability(rng):
     for m_occ in enumerate_outputs(3, 3)[:5]:
         slot = tuple(dets[l] for l in mode_list(m_occ))
         jm = build_pure(photons, slot, output_modes=mode_list(m_occ))
-        x = path_amplitude_vector(jm, u, n_occ, m_occ)
+        x = np.sqrt(np.diagonal(jm.as_dense()).real) * _path_products(u, n_occ, m_occ)
         red = reduce_jmatrix(jm)
         p_form = np.vdot(x, red.dense @ x).real / (mu(n_occ) * mu(m_occ))
         assert p_form == pytest.approx(prob_jmatrix(jm, u, n_occ, m_occ).p, abs=1e-12)
@@ -616,6 +699,23 @@ def test_context_free_for_ideal_detectors():
     jm = build_pure(photons, ideal_dets(3), output_modes=(0, 1, 2))
     # ideal-detector J is output independent; reuse is allowed
     prob_jmatrix(jm, u, (1, 1, 1), (2, 1, 0))
+
+
+def test_extreme_j_carries_its_output_context():
+    """An extreme J with different slot detectors is accepted for the output
+    it was built for and refused for another."""
+    u = random_unitary(3, 14)
+    n_occ, m_occ = (1, 1, 1), (1, 1, 1)
+    dets = (DetectorModel.flat(0.7), IDEAL, DetectorModel.gaussian_band(0.0, 1.5, 0.9))
+    ls = mode_list(m_occ)
+    g = GaussianState(0.0, 1.0, 0.0)
+    apart = gaussians(0.0, 20.0, 40.0)  # cross-mode overlaps exp(-200)
+    for kind, states, photons in (("ind", [g], [g] * 3), ("cl", apart, apart)):
+        jm = build_extreme(kind, n_occ, tuple(dets[l] for l in ls), states, output_modes=ls)
+        assert prob_jmatrix(jm, u, n_occ, m_occ).p == pytest.approx(
+            prob_oracle(photons, dets, u, n_occ, m_occ).p, abs=1e-12)
+        with pytest.raises(ValidationError):
+            prob_jmatrix(jm, u, n_occ, (2, 1, 0))
 
 
 def test_permanent_engine_rejects_multi_occupancy():
