@@ -50,6 +50,7 @@ from .spectral import (
     pure_components,
 )
 from .symgroup import (
+    cycle_type_positions,
     cycle_types,
     permutation_array,
     permutation_index,
@@ -99,6 +100,11 @@ class JMatrix:
         i1, i2 = np.asarray(s1, dtype=np.intp), np.asarray(s2, dtype=np.intp)
         return complex(np.prod(self.slot_grams[np.arange(self.n), i1, i2]))
 
+    def cycle_weights(self) -> np.ndarray:
+        """(N!,) J(id, tau) = J_ct(tau) of a cycle J, tau in canonical order."""
+        values = np.array([self.cycle_values[ct] for ct, _ in cycle_types(self.n)])
+        return values[cycle_type_positions(self.n)]
+
     def as_dense(self) -> np.ndarray:
         """Materialize the full matrix (N <= DENSE_CAP only)."""
         if self.dense is not None:
@@ -112,12 +118,12 @@ class JMatrix:
             for alpha in range(self.n):
                 idx = perms[:, alpha]
                 out *= self.slot_grams[alpha][idx[:, None], idx[None, :]]
-        else:  # cycle values, one triangle of a Hermitian J
-            out = np.empty((nf, nf), dtype=complex)
-            for i in range(nf):
-                for j in range(i, nf):
-                    out[i, j] = self.entry(perms[i], perms[j])
-                    out[j, i] = np.conj(out[i, j])
+        else:  # cycle values: J(s1, s2) = J(id, s2 s1^-1), gathered by the code
+            # sum_a (s2 s1^-1)(a) N^a = sum_b s2(b) N^(s1(b)) of the relative permutation
+            radix = self.n ** np.arange(self.n)
+            by_code = np.empty(self.n ** self.n, dtype=complex)
+            by_code[perms @ radix] = self.cycle_weights()
+            out = by_code[radix[perms] @ perms.T]
         self.dense = out
         return out
 

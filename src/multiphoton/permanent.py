@@ -1,22 +1,32 @@
-"""Matrix permanents: a naive S_n oracle, a Ryser evaluator, and the Laplace
+"""Matrix permanents: a naive S_n oracle, a Glynn evaluator, and the Laplace
 block expansion.
 
 per(A) = sum_sigma prod_alpha A[sigma(alpha), alpha].  The empty matrix has
 permanent 1 (empty product), which the Laplace expansion relies on.
 
-Ryser's formula per(A) = (-1)^n sum_S (-1)^|S| prod_i sum_{j in S} A[i, j]
-runs over every column subset S.  One kernel, ``_ryser``, evaluates it for a
-whole (B, n, n) stack: the 2^lo subset sums of the ``lo`` low columns are
-formed at once, and a Gray code over the remaining high columns adds or
-removes one column per step, so each step multiplies out 2^lo subsets of the
-whole batch.  ``lo`` and the batch chunk are chosen from n and B so that the
-subset sums and their row products hold at most ``RYSER_TEMP_ELEMENTS``
-complex numbers; the transposed copy of a chunk is at most n times that.
+Glynn's formula (Eur. J. Combin. 31, 1887, 2010)
+
+    per(A) = 2^-(n-1) sum_delta (prod_j delta_j) prod_i sum_j delta_j A[i, j]
+
+runs over the 2^(n-1) sign vectors delta in {+1, -1}^n with delta_0 = +1.
+One kernel, ``_glynn``, evaluates it for a whole (B, n, n) stack: the 2^lo
+sign vectors of the ``lo`` columns after column 0 are formed at once, and a
+Gray code over the remaining high columns adds or subtracts a precomputed
+2 x column per step.  The working arrays are laid out (row, subset, batch), so
+each step's row products multiply contiguous (subset, batch) planes.  ``lo``
+and the batch chunk are chosen from n and B so that the signed row sums hold
+at most ``RYSER_TEMP_ELEMENTS`` numbers; the doubled columns of a chunk are
+at most n - 1 times that, and no Gray step allocates.
+
+The arithmetic follows the dtype of the input: a real stack (bool, integer or
+float) runs in float64, anything else in complex128.  The public results are
+complex either way.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,8 +39,10 @@ RYSER_TEMP_ELEMENTS = 1 << 14   # 256 KiB of complex128 per working array of the
 
 
 def _check_stack(stack: np.ndarray, ndim: int) -> np.ndarray:
-    """``stack`` as a complex array of square matrices (ndim 2 or 3), all finite."""
-    stack = np.asarray(stack, dtype=complex)
+    """``stack`` as a float64 (real input) or complex128 array of square
+    matrices (ndim 2 or 3), all finite."""
+    stack = np.asarray(stack)
+    stack = stack.astype(float if stack.dtype.kind in "biuf" else complex, copy=False)
     if stack.ndim != ndim or stack.shape[-1] != stack.shape[-2]:
         expected = "a square matrix" if ndim == 2 else "a (B, n, n) stack"
         raise ValidationError(f"expected {expected}, got shape {stack.shape}")
@@ -55,55 +67,74 @@ def permanent_naive(a: np.ndarray) -> complex:
     return complex(np.sum(np.prod(a[perms, cols], axis=1)))
 
 
-def _ryser(stack: np.ndarray) -> np.ndarray:
-    """Ryser permanents of a validated (B, n, n) stack."""
+@lru_cache(maxsize=None)
+def _weights(lo: int, n: int) -> np.ndarray:
+    """(2^lo,) sign product of the low columns of each subset i (-1 for odd
+    bit counts) times Glynn's factor 2^-(n-1) (shared, read-only)."""
+    weights = np.array([(-1.0) ** i.bit_count() for i in range(1 << lo)]) / (1 << (n - 1))
+    weights.setflags(write=False)
+    return weights
+
+
+def _glynn(stack: np.ndarray) -> np.ndarray:
+    """Glynn permanents of a validated (B, n, n) stack, in its own dtype."""
     b, n, _ = stack.shape
     if n > MAX_RYSER_N:
-        raise SizeLimitError(f"Ryser permanents capped at n <= {MAX_RYSER_N}, got {n}")
+        raise SizeLimitError(f"permanents capped at n <= {MAX_RYSER_N}, got {n}")
     if n == 0:
-        return np.ones(b, dtype=complex)
-    lo = min(n, max(0, (RYSER_TEMP_ELEMENTS // (n * max(b, 1))).bit_length() - 1))
+        return np.ones(b, dtype=stack.dtype)
+    lo = min(n - 1, max(0, (RYSER_TEMP_ELEMENTS // (n * max(b, 1))).bit_length() - 1))
     chunk = max(1, RYSER_TEMP_ELEMENTS // (n << lo))
-    out = np.empty(b, dtype=complex)
+    weights = _weights(lo, n)
+    out = np.empty(b, dtype=stack.dtype)
     for start in range(0, b, chunk):
-        # (column, row, batch): the batch axis last keeps every row product contiguous
-        cols = np.ascontiguousarray(stack[start:start + chunk].transpose(2, 1, 0))
-        low = np.zeros((1 << lo,) + cols.shape[1:], dtype=complex)
-        parity = np.ones(1)
-        for j in range(lo):  # subset i of the low columns holds column j iff bit j of i
-            low[1 << j:2 << j] = low[:1 << j] + cols[j]
-            parity = np.concatenate([parity, -parity])
-        high = np.zeros(cols.shape[1:], dtype=complex)
-        sums = np.empty_like(low)
-        total = np.zeros(cols.shape[2], dtype=complex)
-        sign = (-1) ** n
-        for k in range(1 << (n - lo)):
-            if k:  # Gray step k flips high column c, the lowest set bit of k
+        part = stack[start:start + chunk].transpose(2, 1, 0)  # (column, row, batch) view
+        # 2 x every column after column 0, contiguous: the change of one sign flip
+        steps = np.multiply(part[1:], 2, order="C")
+        # signed row sums, (row, subset, batch): subset 0 has every sign +1, and
+        # subset i of the low columns flips column j + 1 iff bit j of i
+        sums = np.empty((n, 1 << lo, part.shape[2]), dtype=stack.dtype)
+        first = sums[:, 0]
+        np.sum(steps, axis=0, out=first)
+        first *= 0.5  # exact: halves the doubled sum
+        first += part[0]
+        for j in range(lo):
+            np.subtract(sums[:, :1 << j], steps[j, :, None], out=sums[:, 1 << j:2 << j])
+        acc = np.empty(sums.shape[1:], dtype=stack.dtype)
+        prods = np.empty_like(acc)
+        for k in range(1 << (n - 1 - lo)):
+            if k:  # Gray step k flips column lo + 1 + c, c the lowest set bit of k
                 c = (k & -k).bit_length() - 1
                 if (k ^ (k >> 1)) >> c & 1:
-                    high += cols[lo + c]
+                    sums -= steps[lo + c, :, None]
                 else:
-                    high -= cols[lo + c]
-                sign = -sign
-            np.add(low, high, out=sums)
-            total += sign * (parity @ np.prod(sums, axis=1))
-        out[start:start + chunk] = total
+                    sums += steps[lo + c, :, None]
+            if not k:
+                np.prod(sums, axis=0, out=acc)
+            elif k & 1:
+                acc -= np.prod(sums, axis=0, out=prods)
+            else:
+                acc += np.prod(sums, axis=0, out=prods)
+        out[start:start + chunk] = weights @ acc
     return out
 
 
 def permanent_ryser(a: np.ndarray) -> complex:
-    """Ryser inclusion-exclusion, O(2^n n); the batch kernel on a batch of one.
+    """Permanent by the Glynn kernel, O(2^(n-1) n); the batch kernel on a
+    batch of one. Real input runs in real arithmetic; the result is complex.
 
-    Matches permanent_naive to 1e-10 relative for n <= 9; capped at n <= 24.
+    The name is kept for the public API and the benchmark tracer. Matches
+    permanent_naive to 1e-10 relative for n <= 9; capped at n <= 24.
     """
-    return complex(_ryser(_check_stack(a, 2)[None])[0])
+    return complex(_glynn(_check_stack(a, 2)[None])[0])
 
 
 def permanent_ryser_batch(stack: np.ndarray) -> np.ndarray:
-    """Permanents of a (B, n, n) stack; same kernel, validation and cap as
-    permanent_ryser. Used by the probability engines for many small
-    permanents."""
-    return _ryser(_check_stack(stack, 3))
+    """Permanents of a (B, n, n) stack as a complex (B,) array; same Glynn
+    kernel, dtype rule, validation and cap as permanent_ryser, whose name it
+    shares for the same reason. Used by the probability engines for many
+    small permanents."""
+    return _glynn(_check_stack(stack, 3)).astype(complex, copy=False)
 
 
 def permanent_laplace(a: np.ndarray, row_split: int) -> complex:

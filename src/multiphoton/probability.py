@@ -163,7 +163,7 @@ def _tau_permanent_sum(jm: JMatrix, usub: np.ndarray) -> complex:
     taus = permutation_array(n)
     rows = np.arange(n)
     if jm.slot_grams is None:
-        weights = np.array([jm.entry(rows, tau) for tau in taus])  # J(id, tau) = J_ct(tau)
+        weights = jm.cycle_weights()
     step = max(1, PERMANENT_STACK_ELEMENTS // (n * n))
     total = 0.0 + 0.0j
     for start in range(0, len(taus), step):

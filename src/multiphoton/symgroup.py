@@ -206,6 +206,28 @@ def cycle_types(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
         yield tuple(counts), size
 
 
+@lru_cache(maxsize=None)
+def cycle_type_positions(n: int) -> np.ndarray:
+    """(N!,) position in ``cycle_types(n)`` of the cycle type of every
+    permutation, in canonical order (shared, read-only)."""
+    perms = permutation_array(n)
+    base = (n + 1) ** np.arange(n)  # cycle type (C_1, ..., C_N) as a base-(N+1) code
+    codes = np.zeros(len(perms), dtype=np.intp)
+    unclosed = np.ones(perms.shape, dtype=bool)
+    image = np.broadcast_to(np.arange(n), perms.shape)
+    for k in range(1, n + 1):  # a first return after k steps puts an element on a k-cycle
+        image = np.take_along_axis(perms, image, axis=1)
+        closed = unclosed & (image == np.arange(n))
+        unclosed &= ~closed
+        codes += closed.sum(axis=1) // k * base[k - 1]
+    type_codes = np.array([sum(c * (n + 1) ** i for i, c in enumerate(ct))
+                           for ct, _ in cycle_types(n)])
+    order = np.argsort(type_codes)
+    out = order[np.searchsorted(type_codes, codes, sorter=order)]
+    out.setflags(write=False)
+    return out
+
+
 def cycle_index(n: int, a: Sequence[complex]) -> complex:
     """Cycle index Z_N(a_1, ..., a_N) = (1/N!) sum_sigma prod_k a_k^{C_k(sigma)}.
 

@@ -159,6 +159,18 @@ def test_cycle_compressed_matches_dense_mixed():
         assert np.allclose(jm_cycle.as_dense(), jm_dense.as_dense(), atol=1e-9)
 
 
+def test_cycle_dense_gather_equals_entries():
+    from multiphoton.bosonsampling import BSParams, build_bs_jmatrix
+
+    rho = MixedState.gaussian_time_jitter(0.0, 1.0, 0.6, nodes=8)
+    for n in range(1, 6):
+        perms = permutation_array(n)
+        for jm in (build_cycle_compressed(rho, DetectorModel.flat(0.9), n),
+                   build_bs_jmatrix(BSParams.from_gamma(n, 0.3))):
+            by_entry = np.array([[jm.entry(s1, s2) for s2 in perms] for s1 in perms])
+            assert np.array_equal(jm.as_dense(), by_entry), n
+
+
 def test_cycle_compressed_pure_ideal_all_ones():
     g = GaussianState(0.0, 1.0, 0.0)
     jm = build_cycle_compressed(g, IDEAL, 3)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,6 +111,77 @@ def test_batch_matches_single(rng):
         expected = np.array([permanent_naive(m) for m in base])[tile] * scale**n
         batch = permanent_ryser_batch(base[tile] * scale[:, None, None])
         assert np.all(np.abs(batch - expected) <= 1e-10 * np.abs(expected)), n
+
+
+def random_stack(rng, size, n, dtype):
+    real = rng.standard_normal((size, n, n))
+    return real + 1j * rng.standard_normal((size, n, n)) if dtype is complex else real
+
+
+@pytest.mark.parametrize("dtype", [complex, float])
+@pytest.mark.parametrize("n", range(10))
+def test_glynn_matches_naive_on_batches(rng, n, dtype):
+    # batch sizes 0, 1 and more than two kernel chunks; the long stack tiles
+    # 11 matrices, each copy scaled by its own factor (per(sA) = s^n per(A))
+    base = random_stack(rng, 11, n, dtype)
+    naive = np.array([permanent_naive(m) for m in base])
+    assert permanent_ryser_batch(base[:0]).shape == (0,)
+    assert permanent_ryser_batch(base[:1])[0] == pytest.approx(naive[0], rel=1e-10)
+    size = 2 * (RYSER_TEMP_ELEMENTS // max(n, 1)) + 3
+    tile = np.arange(size) % 11
+    scale = rng.uniform(0.5, 1.5, size)
+    if dtype is complex:
+        scale = scale * np.exp(1j * rng.uniform(0, 2 * np.pi, size))
+    batch = permanent_ryser_batch(base[tile] * scale[:, None, None])
+    expected = naive[tile] * scale**n
+    assert np.all(np.abs(batch - expected) <= 1e-10 * np.abs(expected))
+
+
+def test_real_input_matches_complex_cast_and_returns_complex(rng):
+    for n in range(1, 13):
+        a = rng.standard_normal((n, n))
+        real, cast = permanent_ryser(a), permanent_ryser(a.astype(complex))
+        assert isinstance(real, complex)
+        assert abs(real - cast) <= 1e-13 * abs(cast)
+        stack = rng.standard_normal((40, n, n))
+        batch = permanent_ryser_batch(stack)
+        assert batch.dtype == complex
+        cast = permanent_ryser_batch(stack.astype(complex))
+        assert np.all(np.abs(batch - cast) <= 1e-13 * np.abs(cast))
+
+
+@pytest.mark.parametrize("dtype", [complex, float])
+@pytest.mark.parametrize("k", [8, 9])
+def test_shuffled_block_diagonal_matches_naive_blocks(rng, k, dtype):
+    # entries of modulus uniform in [0, 1), with random phases when complex:
+    # positive row sums make the inclusion-exclusion terms large against the
+    # permanent, the regime where precision is lost
+    def block():
+        mod = rng.uniform(0.0, 1.0, (k, k))
+        return mod * np.exp(2j * np.pi * rng.uniform(size=(k, k))) if dtype is complex else mod
+    b1, b2 = block(), block()
+    a = np.zeros((2 * k, 2 * k), dtype=dtype)
+    a[:k, :k], a[k:, k:] = b1, b2
+    a = a[rng.permutation(2 * k)][:, rng.permutation(2 * k)]
+    ref = permanent_naive(b1) * permanent_naive(b2)
+    assert abs(permanent_ryser(a) - ref) <= 1e-12 * abs(ref)
+
+
+def _traced_peak(func, arg) -> int:
+    tracemalloc.start()
+    try:
+        func(arg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernel_memory_stays_bounded(rng):
+    # the input exists before tracing starts, so the peak counts only the
+    # kernel's own arrays
+    bound = 6 * RYSER_TEMP_ELEMENTS * 16
+    assert _traced_peak(permanent_ryser, random_complex(rng, 20)) <= bound
+    assert _traced_peak(permanent_ryser_batch, random_stack(rng, 3125, 5, complex)) <= bound
 
 
 def test_batch_nonfinite_rejected(rng):

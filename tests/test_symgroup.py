@@ -10,6 +10,7 @@ from multiphoton.symgroup import (
     Permutation,
     cycle_decomposition,
     cycle_index,
+    cycle_type_positions,
     cycle_types,
     enumerate_permutations,
     identity,
@@ -24,6 +25,13 @@ from multiphoton.symgroup import (
 perm_strategy = st.integers(2, 6).flatmap(
     lambda n: st.permutations(list(range(n)))
 )
+
+
+def test_cycle_type_positions_match_cycle_types():
+    for n in range(7):
+        types = [ct for ct, _ in cycle_types(n)]
+        expected = [types.index(Permutation(t).cycle_type()) for t in permutation_array(n)]
+        assert cycle_type_positions(n).tolist() == expected
 
 
 def test_enumerate_n1_identity_only():
