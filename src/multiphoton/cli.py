@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import bosonsampling, network, probability, spectral, zeroprob
+from . import bosonsampling, network, probability, spectral, verify, zeroprob
 from .errors import MultiphotonError, SizeLimitError, ValidationError
 from .network import parse_network_source
 from .probability import ENGINES, output_distribution
@@ -200,15 +200,8 @@ def cmd_suppress(args) -> int:
     return EXIT_OK
 
 
-def _verify_checks(seed: int, inject_fault: bool):
-    """Cross-engine, PSD, normalization and purity checks on derived seeds."""
-    from .verify import run_checks
-
-    return run_checks(seed=seed, inject_fault=inject_fault)
-
-
 def cmd_verify(args) -> int:
-    checks = _verify_checks(args.seed, args.inject_fault)
+    checks = verify.run_checks(seed=args.seed, inject_fault=args.inject_fault)
     report = {
         "seed": args.seed,
         "checks": checks,

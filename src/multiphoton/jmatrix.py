@@ -20,6 +20,10 @@ build (``build_mixed``) stores the dense matrix and is capped at
 N <= DENSE_CAP. ``as_dense`` materialises the first two on demand
 (N <= DENSE_CAP) and caches the result.
 
+A mixed build traces each distinct cycle of S_N (``symgroup.cycle_table``)
+once per detector labelling and gathers J by the relative position of
+s2 s1^{-1}, as ``as_dense`` does for a cycle J.
+
 With dissimilar detectors the entries depend on the output configuration, so
 every J carries its output context (the mode list it was built for) and the
 probability engines refuse to reuse it across outputs.
@@ -50,14 +54,17 @@ from .spectral import (
     pure_components,
 )
 from .symgroup import (
+    cycle_table,
     cycle_type_positions,
     cycle_types,
     permutation_array,
     permutation_index,
     relative_cycle_type,
+    relative_positions,
 )
 
 DENSE_CAP = 6  # 6!^2 = 518400 complex entries: caps dense storage and mixed builds
+CYCLE_STACK_ELEMENTS = 1 << 18  # bounds the cycle-product stacks of a mixed build
 
 
 @dataclass
@@ -78,7 +85,6 @@ class JMatrix:
     output_modes: tuple[int, ...] | None = None  # l-list this J was built for
     detectors: tuple[DetectorModel, ...] | None = None  # per output slot
     input_modes: tuple[int, ...] | None = None
-    reduced: bool = False
 
     @property
     def order(self) -> int:
@@ -111,19 +117,14 @@ class JMatrix:
             return self.dense
         if self.n > DENSE_CAP:
             raise SizeLimitError(f"dense J storage capped at N <= {DENSE_CAP}, got N={self.n}")
-        perms = permutation_array(self.n)
-        nf = perms.shape[0]
         if self.slot_grams is not None:
-            out = np.ones((nf, nf), dtype=complex)
+            perms = permutation_array(self.n)
+            out = np.ones((len(perms),) * 2, dtype=complex)
             for alpha in range(self.n):
                 idx = perms[:, alpha]
                 out *= self.slot_grams[alpha][idx[:, None], idx[None, :]]
-        else:  # cycle values: J(s1, s2) = J(id, s2 s1^-1), gathered by the code
-            # sum_a (s2 s1^-1)(a) N^a = sum_b s2(b) N^(s1(b)) of the relative permutation
-            radix = self.n ** np.arange(self.n)
-            by_code = np.empty(self.n ** self.n, dtype=complex)
-            by_code[perms @ radix] = self.cycle_weights()
-            out = by_code[radix[perms] @ perms.T]
+        else:  # cycle values: J(s1, s2) = J(id, s2 s1^-1)
+            out = self.cycle_weights()[relative_positions(self.n)]
         self.dense = out
         return out
 
@@ -208,48 +209,15 @@ def build_pure(states: Sequence[PureState], detectors: Sequence[DetectorModel], 
 
 def _operator_setup(states: Sequence[PureState | MixedState],
                     detectors: Sequence[DetectorModel]):
-    """Common span basis, per-photon density operators and per-slot detector
-    operators for mixed builds."""
-    all_pure: list[PureState] = []
-    for st in states:
-        all_pure.extend(s for _, s in pure_components(st))
-    basis = SpanBasis(all_pure)
-    rho_ops = []
-    pos = 0
-    for st in states:
-        comps = pure_components(st)
-        op = np.zeros((basis.rank, basis.rank), dtype=complex)
-        for w, _ in comps:
-            v = basis.coords[:, pos]
-            op += w * np.outer(v, v.conj())
-            pos += 1
-        rho_ops.append(op)
-    det_ops = {det: basis.detector_matrix(det) for det in set(detectors)}
-    return basis, rho_ops, det_ops
-
-
-def _entry_via_cycles(rho_ops, det_ops_per_slot, s1, s2) -> complex:
-    """Cycle-trace evaluation: factorize over disjoint cycles of s2 s1^{-1};
-    a cycle a1 -> a2 -> ... contributes
-    Tr{ Gamma_{l_{s2^-1(a1)}} rho_{a1} Gamma_{l_{s2^-1(a2)}} rho_{a2} ... }."""
-    n = len(s1)
-    inv1 = np.argsort(np.asarray(s1))
-    inv2 = np.argsort(np.asarray(s2))
-    rel = np.asarray(s2)[inv1]  # s2 ∘ s1^{-1}
-    seen = [False] * n
-    val = 1.0 + 0.0j
-    for start in range(n):
-        if seen[start]:
-            continue
-        prod = None
-        a = start
-        while not seen[a]:
-            seen[a] = True
-            factor = det_ops_per_slot[inv2[a]] @ rho_ops[a]
-            prod = factor if prod is None else prod @ factor
-            a = rel[a]
-        val *= np.trace(prod)
-    return val
+    """Common span basis, stacked per-photon density operators, the operator
+    of each distinct detector, and the index of each slot's detector in it."""
+    comps = [pure_components(st) for st in states]
+    basis = SpanBasis([s for c in comps for _, s in c])
+    coords = np.split(basis.coords, np.cumsum([len(c) for c in comps])[:-1], axis=1)
+    rho_ops = np.array([(v * [w for w, _ in c]) @ v.conj().T for c, v in zip(comps, coords)])
+    kinds = list(dict.fromkeys(detectors))
+    det_ops = np.array([basis.detector_matrix(det) for det in kinds])
+    return basis, rho_ops, det_ops, np.array([kinds.index(d) for d in detectors])
 
 
 def build_mixed(states: Sequence[PureState | MixedState],
@@ -265,6 +233,10 @@ def build_mixed(states: Sequence[PureState | MixedState],
     permutations of its internal labels, which rules out independent
     within-mode jitter (it would not even be trace normalized after
     symmetrization).
+
+    Per draw of those blocks, J(s1, s2) = w_{L(s2)}(s2 s1^-1) with the
+    detector labelling L(s2)(a) = detector of slot s2^-1(a): the cycle
+    traces of ``_labelled_cycle_weights`` gathered by relative position.
 
     Dense-only (N <= DENSE_CAP); identical sources with identical detectors
     have the cycle-compressed form ``build_cycle_compressed`` at any N.
@@ -288,6 +260,7 @@ def build_mixed(states: Sequence[PureState | MixedState],
     # mixture over joint draws of the correlated blocks (a single draw without
     # them); the remaining slots keep their own independent mixed operators
     draw_axes = [pure_components(states[slots[0]]) for slots in correlated]
+    s2_inverses = np.argsort(permutation_array(n), axis=1)
     nf = math.factorial(n)
     dense = np.zeros((nf, nf), dtype=complex)
     for combo in itertools.product(*draw_axes):
@@ -296,38 +269,40 @@ def build_mixed(states: Sequence[PureState | MixedState],
         for slots, (_, drawn) in zip(correlated, combo):
             for s in slots:
                 slot_states[s] = drawn
-        dense += weight * _independent_mixed_dense(slot_states, detectors)
+        weights, labelling = _labelled_cycle_weights(slot_states, detectors, s2_inverses)
+        dense += weight * weights[labelling[None, :], relative_positions(n)]
     return JMatrix(n, "dense", dense=dense,
                    output_modes=tuple(output_modes) if output_modes is not None else None,
                    detectors=detectors,
                    input_modes=tuple(input_modes) if input_modes is not None else None)
 
 
-def _independent_mixed_dense(states, detectors) -> np.ndarray:
-    """Dense J of independently fluctuating photons, entry by cycle traces."""
-    basis, rho_ops, det_ops = _operator_setup(states, detectors)
-    det_slot_ops = [det_ops[d] for d in detectors]
-    # identical sources and detectors: entries depend only on the cycle type
-    # of the relative permutation
-    by_cycle_type = len(set(detectors)) == 1 and all(
-        pure_components(st) == pure_components(states[0]) for st in states
-    )
-    cache: dict[tuple[int, ...], complex] = {}
-    perms = permutation_array(len(states))
-    nf = perms.shape[0]
-    dense = np.empty((nf, nf), dtype=complex)
-    for i in range(nf):
-        for j in range(i, nf):
-            if by_cycle_type:
-                ct = relative_cycle_type(perms[i], perms[j])
-                if ct not in cache:
-                    cache[ct] = _entry_via_cycles(rho_ops, det_slot_ops, perms[i], perms[j])
-                val = cache[ct]
-            else:
-                val = _entry_via_cycles(rho_ops, det_slot_ops, perms[i], perms[j])
-            dense[i, j] = val
-            dense[j, i] = np.conj(val)
-    return dense
+def _labelled_cycle_weights(states, detectors,
+                            s2_inverses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct labellings, N!) weights w_L(tau) of independently
+    fluctuating photons, tau in canonical order, and the labelling of each
+    row of ``s2_inverses``: L(s2)(a) = detector of slot s2^-1(a) and
+    w_L(tau) = prod over the cycles (a_1 ... a_k) of tau of
+    Tr{Gamma_{L(a_1)} rho_{a_1} ... Gamma_{L(a_k)} rho_{a_k}}. Each cycle of
+    ``cycle_table`` is traced once per labelling, its product one step from
+    its parent's, in stacks of at most CYCLE_STACK_ELEMENTS entries."""
+    basis, rho_ops, det_ops, slot_kind = _operator_setup(states, detectors)
+    labellings, row_labelling = np.unique(slot_kind[s2_inverses], axis=0, return_inverse=True)
+    n, r = len(states), basis.rank
+    table = cycle_table(n)
+    level_start = np.searchsorted(table.length, np.arange(1, n + 2))
+    step = max(1, CYCLE_STACK_ELEMENTS // (len(table.length) * r * r))
+    weights = np.empty((len(labellings), len(table.ids)), dtype=complex)
+    for start in range(0, len(labellings), step):
+        ops = det_ops[labellings[start:start + step]] @ rho_ops  # the fixed points
+        prods, traces = ops, [np.trace(ops, axis1=2, axis2=3)]
+        for k in range(2, n + 1):
+            cyc = slice(level_start[k - 1], level_start[k])
+            prods = prods[:, table.parent[cyc] - level_start[k - 2]] @ ops[:, table.last[cyc]]
+            traces.append(np.trace(prods, axis1=2, axis2=3))
+        traces.append(np.ones((len(ops), 1)))  # the padding id C
+        weights[start:start + step] = np.concatenate(traces, axis=1)[:, table.ids].prod(axis=2)
+    return weights, row_labelling.reshape(-1)
 
 
 def build_cycle_compressed(rho: PureState | MixedState, det: DetectorModel,
@@ -423,8 +398,8 @@ def mandel_visibility(rho1: PureState | MixedState, rho2: PureState | MixedState
     J(I,I) = Tr(G1 r1) Tr(G2 r2), J(T,T) = Tr(G2 r1) Tr(G1 r2),
     J(T,I) = Tr(G1 r1 G2 r2); |V| <= 1 follows from positivity.
     """
-    basis, (r1, r2), det_ops = _operator_setup([rho1, rho2], (det1, det2))
-    g1, g2 = det_ops[det1], det_ops[det2]
+    basis, (r1, r2), det_ops, slot_kind = _operator_setup([rho1, rho2], (det1, det2))
+    g1, g2 = det_ops[slot_kind]
     j_ii = np.trace(g1 @ r1).real * np.trace(g2 @ r2).real
     j_tt = np.trace(g2 @ r1).real * np.trace(g1 @ r2).real
     if j_ii <= 0.0 or j_tt <= 0.0:
@@ -490,11 +465,12 @@ def jmatrix_entry_cycle_route(states: Sequence[PureState],
                               detectors: Sequence[DetectorModel],
                               s1: Sequence[int], s2: Sequence[int]) -> complex:
     """Second code path for pure inputs: the cycle-trace identity instead of
-    the direct per-slot product (used to cross-check the two)."""
+    the direct per-slot product (used to cross-check the two), traced as in
+    ``build_mixed``."""
     detectors = _check_slot_detectors(len(states), detectors)
-    basis, rho_ops, det_ops = _operator_setup(list(states), detectors)
-    det_slot_ops = [det_ops[d] for d in detectors]
-    return _entry_via_cycles(rho_ops, det_slot_ops, np.asarray(s1), np.asarray(s2))
+    s1, s2 = np.asarray(s1, dtype=np.intp), np.asarray(s2, dtype=np.intp)
+    weights, _ = _labelled_cycle_weights(list(states), detectors, np.argsort(s2)[None, :])
+    return complex(weights[0, permutation_index(s2[np.argsort(s1)].tolist())])
 
 
 def dump_jmatrix(jm: JMatrix) -> dict:

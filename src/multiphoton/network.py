@@ -15,7 +15,6 @@ import numpy as np
 from .errors import SizeLimitError, ValidationError
 
 USER_UNITARITY_TOL = 1e-8
-INTERNAL_UNITARITY_TOL = 1e-12
 MAX_OUTPUT_CONFIGS = 10**6
 
 

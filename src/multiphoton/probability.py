@@ -53,7 +53,7 @@ from .spectral import (
     is_mixed,
     pure_components,
 )
-from .symgroup import permutation_array
+from .symgroup import mode_subgroup_blocks, permutation_array
 
 log = logging.getLogger(__name__)
 
@@ -180,16 +180,6 @@ def _tau_permanent_sum(jm: JMatrix, usub: np.ndarray) -> complex:
 # -- permanent-basis engine -----------------------------------------------------
 
 
-def _output_blocks(ls: Sequence[int]) -> list[tuple[int, ...]]:
-    """Consecutive slot blocks sharing an output mode (the l-list is sorted)."""
-    blocks, start = [], 0
-    for i in range(1, len(ls) + 1):
-        if i == len(ls) or ls[i] != ls[start]:
-            blocks.append(tuple(range(start, i)))
-            start = i
-    return blocks
-
-
 def _canonical_tuples(r: int, blocks: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
     """Basis tuples that are nondecreasing within each output block, as a
     (T, N) index array, with the count of their distinct rearrangements (T,).
@@ -244,7 +234,7 @@ def _permanent_basis_pure(states: Sequence[PureState], slot_dets: Sequence[Detec
     basis = SpanBasis(states)
     sq = {det: basis.detector_sqrt(det) @ basis.coords for det in set(slot_dets)}  # (r, N)
     rows = np.stack([sq[det] for det in slot_dets])
-    tuples, weights = _canonical_tuples(basis.rank, _output_blocks(mode_list(m_occ)))
+    tuples, weights = _canonical_tuples(basis.rank, mode_subgroup_blocks(m_occ))
     return _product_fold(_usub(u, n_occ, m_occ), rows, tuples, weights, np.ones(1))
 
 
@@ -367,14 +357,8 @@ class GeneralEnsemble:
     def validate_symmetry(self, n_occ, tol: float = 1e-10) -> None:
         """The G-function symmetry: C invariant under permutations of tensor
         slots within each input-mode block."""
-        blocks = []
-        pos = 0
-        for c in n_occ:
-            if c:
-                blocks.append(tuple(range(pos, pos + c)))
-                pos += c
         for _, tensor in self.components:
-            for block in blocks:
+            for block in mode_subgroup_blocks(n_occ):
                 for a, b in zip(block, block[1:]):
                     if not np.allclose(tensor, np.swapaxes(tensor, a, b), atol=tol):
                         raise ValidationError(
@@ -410,7 +394,7 @@ def prob_general(ensemble: GeneralEnsemble, detectors: Sequence[DetectorModel] |
     sqrt_ops = {det: ensemble.basis.detector_sqrt(det) for det in set(slot_dets)}
     rows = np.stack([sqrt_ops[det] for det in slot_dets])
     probs = np.array([w for w, _ in ensemble.components])
-    tuples, weights = _canonical_tuples(r, _output_blocks(mode_list(m_occ)))
+    tuples, weights = _canonical_tuples(r, mode_subgroup_blocks(m_occ))
     if ensemble.factors is not None and len(probs) <= r**n:
         route, per_tuple = "product-fold", len(probs)
         total = _product_fold(usub, rows @ np.concatenate(ensemble.factors, axis=1),

@@ -24,7 +24,8 @@ from .errors import SizeLimitError, ValidationError
 from .jmatrix import build_pure
 from .network import enumerate_outputs, mode_list, mu
 from .permanent import permanent_ryser, zero_threshold
-from .probability import ProbabilityResult, _finalize, prob_classical, prob_jmatrix
+from .probability import (JMATRIX_MAX_N, ProbabilityResult, _finalize, _slot_detectors,
+                          prob_classical, prob_jmatrix)
 from .spectral import (
     IDEAL,
     RANK_TOL,
@@ -170,16 +171,12 @@ def prob_group_factorized(u: np.ndarray, spec: GroupSpec, m_occ: Sequence[int],
     """
     modes = u.shape[0]
     n = spec.n
-    if n > 8:
-        raise SizeLimitError(f"group-factorized probability capped at N <= 8, got {n}")
+    if n > JMATRIX_MAX_N:
+        raise SizeLimitError(
+            f"group-factorized probability capped at N <= {JMATRIX_MAX_N}, got {n}")
     m_occ = tuple(int(x) for x in m_occ)
     ls = mode_list(m_occ)
-    if detectors is None:
-        slot_dets = (IDEAL,) * n
-    else:
-        if len(detectors) != modes:
-            raise ValidationError("need one detector per mode")
-        slot_dets = tuple(detectors[l] for l in ls)
+    slot_dets = _slot_detectors(detectors, m_occ, modes)
     patterns, amps, _ = group_amplitudes(u, spec, m_occ)
     n_occ = spec.occupation(modes)
 
@@ -248,6 +245,7 @@ def suppression_scan(u: np.ndarray, spec: GroupSpec,
     modes = u.shape[0]
     n_occ = spec.occupation(modes)
     outputs = enumerate_outputs(modes, spec.n)
+    dependent = spec.independence_rank() < len(spec.groups)
 
     def scan_one(m_occ) -> SuppressionRecord:
         patterns, amps, threshold = group_amplitudes(u, spec, m_occ)
@@ -259,7 +257,7 @@ def suppression_scan(u: np.ndarray, spec: GroupSpec,
             verdict=VERDICT_SUPPRESSED if flagged else VERDICT_NOT,
             classically_forbidden=forbidden,
         )
-        if spec.independence_rank() < len(spec.groups):
+        if dependent:
             record.diagnostic = "group states are linearly dependent; zero amplitudes are sufficient but not necessary"
         if flagged:
             probs = {}

@@ -16,7 +16,8 @@ from multiphoton.jmatrix import (
     purity,
     reduce_jmatrix,
 )
-from multiphoton.network import mode_list
+from multiphoton.network import enumerate_outputs, fourier, mode_list
+from multiphoton.probability import prob_jmatrix
 from multiphoton.spectral import (
     IDEAL,
     DetectorModel,
@@ -148,6 +149,44 @@ def test_build_mixed_identical_sources_cycle_structure():
                 assert abs(dense[i, j] - seen[ct]) < 1e-12
             else:
                 seen[ct] = dense[i, j]
+
+
+def _jitter_states(n, spread=0.5):
+    """n Gaussian jitter states (8 nodes) at staggered mean times."""
+    return [MixedState.gaussian_time_jitter(0.0, 1.0, spread, mean_time=0.6 * a, nodes=8)
+            for a in range(n)]
+
+
+@pytest.mark.parametrize("detectors", ["ideal", "bands"])
+def test_six_photon_mixed_j_hermitian_psd(detectors):
+    """Six non-identical jitter states, under one ideal detector or six
+    different band detectors (720 detector labellings)."""
+    dets = ideal_slots(6) if detectors == "ideal" else tuple(
+        DetectorModel.gaussian_band(0.15 * a - 0.3, 0.9 + 0.2 * a, 0.95) for a in range(6))
+    dense = build_mixed(_jitter_states(6), dets).as_dense()
+    assert np.max(np.abs(dense - dense.conj().T)) <= 1e-12
+    assert np.linalg.eigvalsh(dense)[0] >= -1e-9
+
+
+def test_six_photon_mixed_j_limits():
+    """Zero spread gives the pure J, identical sources the cycle J, and one
+    ideal-detector J serves every output of fourier(6), summing to 1."""
+    pure_states = [GaussianState(0.0, 1.0, 0.6 * a) for a in range(6)]
+    zero_spread = build_mixed([MixedState.pure(s) for s in pure_states], ideal_slots(6))
+    assert np.max(np.abs(zero_spread.as_dense()
+                         - build_pure(pure_states, ideal_slots(6)).as_dense())) <= 1e-12
+
+    rho = _jitter_states(1)[0]
+    flat = DetectorModel.flat(0.9)
+    identical = build_mixed([rho] * 6, (flat,) * 6)
+    assert np.max(np.abs(identical.as_dense()
+                         - build_cycle_compressed(rho, flat, 6).as_dense())) <= 1e-9
+
+    jm = build_mixed(_jitter_states(6), ideal_slots(6))
+    u = fourier(6)
+    n_occ = (1,) * 6
+    total = sum(prob_jmatrix(jm, u, n_occ, m_occ).p for m_occ in enumerate_outputs(6, 6))
+    assert abs(total - 1.0) <= 1e-9
 
 
 def test_cycle_compressed_matches_dense_mixed():

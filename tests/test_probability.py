@@ -618,6 +618,48 @@ def test_tau_route_property_matches_dense_quadratic_form(case):
     assert abs(prob_jmatrix(dense, u, n_occ, m_occ).p - expected) <= 1e-12
 
 
+@st.composite
+def mixed_j_cases(draw):
+    """Mixed photons on N <= 4 slots in M <= N + 1 modes, one photon state
+    per input mode (a multiply-occupied mixed mode shares each draw), with
+    per-mode detectors that may differ: mixed Gaussian photons of 2-3
+    components under ideal/flat/band detectors, or finite-rank mixed photons
+    under ideal/flat/matrix detectors."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, n + 1))
+    slots = st.lists(st.integers(0, m - 1), min_size=n, max_size=n)
+    n_occ = tuple(int(c) for c in np.bincount(draw(slots), minlength=m))
+    if draw(st.booleans()):
+        pure = st.sampled_from([-1.0, -0.3, 0.4, 1.0]).map(partial(_fold_state, finite=True))
+        pool = (IDEAL, DetectorModel.flat(0.7), _matrix_detector(1), _matrix_detector(2))
+    else:  # well-separated components: a nearly singular span is truncated (CHANGES.md)
+        pure = st.builds(GaussianState, st.sampled_from([0.0, 0.8]), st.just(1.0),
+                         st.sampled_from([-1.0, 0.0, 1.0]))
+        pool = MIXED_DETECTORS + (DetectorModel.gaussian_band(-0.4, 0.8),)
+    by_mode = []
+    for _ in range(m):
+        weights = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=2, max_size=3)))
+        by_mode.append(MixedState.ensemble(
+            [(w, draw(pure)) for w in weights / weights.sum()]))
+    dets = draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m))
+    photons = [by_mode[k] for k in mode_list(n_occ)]
+    return photons, dets, random_unitary(m, draw(st.integers(0, 2**16))), n_occ
+
+
+@given(mixed_j_cases())
+@settings(deadline=None, max_examples=40)
+def test_mixed_build_property_matches_oracle(case):
+    """The cycle-table build of a mixed J, made for each output's slot
+    detectors, gives the oracle's probability on every output."""
+    photons, dets, u, n_occ = case
+    ks = mode_list(n_occ)
+    for m_occ in enumerate_outputs(len(dets), len(photons)):
+        ls = mode_list(m_occ)
+        jm = build_mixed(photons, tuple(dets[l] for l in ls), output_modes=ls, input_modes=ks)
+        p = prob_jmatrix(jm, u, n_occ, m_occ).p
+        assert abs(p - prob_oracle(photons, dets, u, n_occ, m_occ).p) <= 1e-10
+
+
 def test_cycle_j_with_lossy_detector_matches_mixed_build_on_every_output():
     """A cycle J with one non-ideal detector on every slot does not depend on
     the output: it is accepted for every output and agrees with the dense

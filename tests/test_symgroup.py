@@ -10,6 +10,7 @@ from multiphoton.symgroup import (
     Permutation,
     cycle_decomposition,
     cycle_index,
+    cycle_table,
     cycle_type_positions,
     cycle_types,
     enumerate_permutations,
@@ -19,6 +20,7 @@ from multiphoton.symgroup import (
     permutation_array,
     permutation_index,
     relative_cycle_type,
+    relative_positions,
     subgroup_members,
 )
 
@@ -32,6 +34,32 @@ def test_cycle_type_positions_match_cycle_types():
         types = [ct for ct, _ in cycle_types(n)]
         expected = [types.index(Permutation(t).cycle_type()) for t in permutation_array(n)]
         assert cycle_type_positions(n).tolist() == expected
+
+
+def test_cycle_table_matches_cycle_walk():
+    """Each id's cycle, rebuilt from its parent and last element, and the ids
+    of every permutation give that permutation's cycles; there are
+    sum_k C(N, k) (k-1)! distinct cycles."""
+    for n in range(7):
+        table = cycle_table(n)
+        assert len(table.length) == sum(math.comb(n, k) * math.factorial(k - 1)
+                                        for k in range(1, n + 1))
+        cycles = []
+        for c in range(len(table.length)):
+            head = cycles[table.parent[c]] if table.parent[c] >= 0 else ()
+            cycles.append(head + (int(table.last[c]),))
+            assert len(cycles[c]) == table.length[c]
+        for t, ids in zip(permutation_array(n), table.ids):
+            got = sorted(cycles[c] for c in ids if c < len(cycles))
+            assert got == sorted(Permutation(t).cycles())
+    assert len(cycle_table(8).length) == 16072
+
+
+def test_relative_positions_match_composition():
+    perms = enumerate_permutations(4)
+    pos = relative_positions(4)
+    for (i, s1), (j, s2) in itertools.product(enumerate(perms), repeat=2):
+        assert pos[i, j] == permutation_index(s2 * s1.inverse())
 
 
 def test_enumerate_n1_identity_only():
