@@ -196,10 +196,20 @@ def build_pure(states: Sequence[PureState], detectors: Sequence[DetectorModel], 
     """J for single photons in pure spectral states:
     J(s1, s2) = prod_alpha <phi_{s1(a)} | Gamma_{l_a} | phi_{s2(a)}>,
     stored as its per-slot Gram matrices (one Gram per distinct detector)."""
-    n = len(states)
-    detectors = _check_slot_detectors(n, detectors)
+    detectors = _check_slot_detectors(len(states), detectors)
     _validate_block_states(states, input_modes)
     grams = {det: gram_matrix(states, det) for det in set(detectors)}
+    return _pure_from_grams(grams, detectors, output_modes=output_modes,
+                            input_modes=input_modes)
+
+
+def _pure_from_grams(grams: dict[DetectorModel, np.ndarray],
+                     detectors: tuple[DetectorModel, ...], *,
+                     output_modes: Sequence[int] | None = None,
+                     input_modes: Sequence[int] | None = None) -> JMatrix:
+    """The pure J of checked slot detectors from the Gram of each detector,
+    so that a sweep over outputs computes each Gram once."""
+    n = len(detectors)
     slot_grams = np.array([grams[d] for d in detectors], dtype=complex).reshape(n, n, n)
     return JMatrix(n, "lazy", slot_grams=slot_grams,
                    output_modes=tuple(output_modes) if output_modes is not None else None,

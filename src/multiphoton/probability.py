@@ -29,7 +29,8 @@ import itertools
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -40,7 +41,7 @@ from .errors import (
     UnsupportedInputError,
     ValidationError,
 )
-from .jmatrix import JMatrix, build_mixed, build_pure
+from .jmatrix import JMatrix, _pure_from_grams, _validate_block_states, build_mixed
 from .network import check_occupation, enumerate_outputs, mode_list, mu
 from .permanent import permanent_ryser, permanent_ryser_batch
 from .spectral import (
@@ -180,17 +181,18 @@ def _tau_permanent_sum(jm: JMatrix, usub: np.ndarray) -> complex:
 # -- permanent-basis engine -----------------------------------------------------
 
 
-def _canonical_tuples(r: int, blocks: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
-    """Basis tuples that are nondecreasing within each output block, as a
-    (T, N) index array, with the count of their distinct rearrangements (T,).
+@lru_cache(maxsize=128)
+def _canonical_tuples(r: int, sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Basis tuples that are nondecreasing within each output block (blocks
+    of the given sizes, in slot order), as a (T, N) index array, with the
+    count of their distinct rearrangements (T,); shared and read-only.
 
     Permuting basis indices among slots of the same output mode permutes whole
     columns of the Hadamard product, so |per| is constant on those orbits; the
     weight makes the reduced sum equal to the full r^N tuple sum.
     """
     combos, counts = [], []
-    for block in blocks:
-        size = len(block)
+    for size in sizes:
         options = list(itertools.combinations_with_replacement(range(r), size))
         combos.append(np.array(options, dtype=np.intp))
         counts.append(np.array([
@@ -200,7 +202,13 @@ def _canonical_tuples(r: int, blocks: list[tuple[int, ...]]) -> tuple[np.ndarray
     grid = np.indices([len(c) for c in combos]).reshape(len(combos), -1)  # product order
     tuples = np.concatenate([c[g] for c, g in zip(combos, grid)], axis=1)
     weights = np.prod([w[g] for w, g in zip(counts, grid)], axis=0)
+    tuples.setflags(write=False)
+    weights.setflags(write=False)
     return tuples, weights
+
+
+def _output_tuples(r: int, m_occ) -> tuple[np.ndarray, np.ndarray]:
+    return _canonical_tuples(r, tuple(int(c) for c in m_occ if c))
 
 
 def _tuple_permanents(usub: np.ndarray, rows: np.ndarray, tuples: np.ndarray,
@@ -229,13 +237,45 @@ def _product_fold(usub: np.ndarray, rows: np.ndarray, tuples: np.ndarray,
     return float(total)
 
 
-def _permanent_basis_pure(states: Sequence[PureState], slot_dets: Sequence[DetectorModel],
-                          u: np.ndarray, n_occ, m_occ) -> float:
-    basis = SpanBasis(states)
-    sq = {det: basis.detector_sqrt(det) @ basis.coords for det in set(slot_dets)}  # (r, N)
-    rows = np.stack([sq[det] for det in slot_dets])
-    tuples, weights = _canonical_tuples(basis.rank, mode_subgroup_blocks(m_occ))
-    return _product_fold(_usub(u, n_occ, m_occ), rows, tuples, weights, np.ones(1))
+def _detector_rows(basis: SpanBasis, detectors, right: np.ndarray) -> dict:
+    """sqrt(Gamma) @ right in the span basis, for each detector."""
+    return {det: basis.detector_sqrt(det) @ right for det in detectors}
+
+
+def _permanent_setup(photons: Sequence[PureState | MixedState], n_occ,
+                     detectors) -> list[tuple[float, int, dict]]:
+    """The output-independent part of the permanent engine: for each
+    mode-correlated draw its weight, the rank r of its span basis and, for
+    each detector, the (r, N) rows sqrt(Gamma) S with S the span
+    coordinates of the drawn states."""
+    if any(c > 1 for c in n_occ):
+        raise UnsupportedInputError(
+            "prob_permanent_basis needs a single photon or vacuum per input mode; "
+            "use prob_jmatrix or prob_general for multi-occupancy inputs"
+        )
+    n = sum(n_occ)
+    if len(photons) != n:
+        raise ValidationError(f"need {n} photons, got {len(photons)}")
+    draws = []
+    for weight, states in _mode_correlated_draws(photons, n_occ) if n else ():
+        basis = SpanBasis(states)
+        draws.append((weight, basis.rank, _detector_rows(basis, detectors, basis.coords)))
+    return draws
+
+
+def _permanent_output(draws: list[tuple[float, int, dict]],
+                      slot_dets: tuple[DetectorModel, ...], u: np.ndarray,
+                      n_occ, m_occ) -> ProbabilityResult:
+    """P(m|n) of the permanent engine from its set-up, for checked occupations."""
+    if not slot_dets:
+        return _finalize(1.0 + 0j, m_occ, "permanent")
+    usub = _usub(u, n_occ, m_occ)
+    total = 0.0
+    for weight, rank, rows in draws:
+        tuples, weights = _output_tuples(rank, m_occ)
+        total += weight * _product_fold(usub, np.stack([rows[det] for det in slot_dets]),
+                                        tuples, weights, np.ones(1))
+    return _finalize(total / mu(m_occ), m_occ, "permanent")
 
 
 def prob_permanent_basis(photons: Sequence[PureState | MixedState],
@@ -246,21 +286,10 @@ def prob_permanent_basis(photons: Sequence[PureState | MixedState],
     Requires at most one photon per input mode. Mixed photons are averaged
     over their ensemble components (probability is linear in each photon's
     density operator)."""
-    n_occ, m_occ, n = _sizes(n_occ, m_occ, u.shape[0])
-    if any(c > 1 for c in n_occ):
-        raise UnsupportedInputError(
-            "prob_permanent_basis needs a single photon or vacuum per input mode; "
-            "use prob_jmatrix or prob_general for multi-occupancy inputs"
-        )
-    if len(photons) != n:
-        raise ValidationError(f"need {n} photons, got {len(photons)}")
+    n_occ, m_occ, _ = _sizes(n_occ, m_occ, u.shape[0])
     slot_dets = _slot_detectors(detectors, m_occ, u.shape[0])
-    if n == 0:
-        return _finalize(1.0 + 0j, m_occ, "permanent")
-    total = 0.0
-    for weight, states in _mode_correlated_draws(photons, n_occ):
-        total += weight * _permanent_basis_pure(states, slot_dets, u, n_occ, m_occ)
-    return _finalize(total / mu(m_occ), m_occ, "permanent")
+    draws = _permanent_setup(photons, n_occ, set(slot_dets))
+    return _permanent_output(draws, slot_dets, u, n_occ, m_occ)
 
 
 def _slot_detectors(detectors: Sequence[DetectorModel] | None, m_occ,
@@ -367,6 +396,65 @@ class GeneralEnsemble:
                         )
 
 
+@dataclass(frozen=True)
+class _GeneralSetup:
+    """The output-independent part of the general engine. On the product
+    fold (``coeffs`` None) ``rows[det]`` is sqrt(Gamma) @ concat(factors),
+    (r, K N); on the tensor route it is sqrt(Gamma), (r, r), and ``coeffs``
+    holds the (K, r^N) component tensors."""
+
+    rank: int
+    rows: dict
+    probs: np.ndarray
+    coeffs: np.ndarray | None
+
+
+def _general_setup(ensemble: GeneralEnsemble, n_occ, detectors) -> _GeneralSetup:
+    n = sum(n_occ)
+    if ensemble.n != n:
+        raise ValidationError(f"ensemble describes {ensemble.n} photons, instance has {n}")
+    r = ensemble.basis.rank
+    if r**n > 10**6:
+        raise SizeLimitError(f"r^N = {r**n} exceeds the 1e6 cap")
+    ensemble.validate_symmetry(n_occ)
+    probs = np.array([w for w, _ in ensemble.components])
+    if ensemble.factors is not None and len(probs) <= r**n:
+        right = np.concatenate(ensemble.factors, axis=1)
+        return _GeneralSetup(r, _detector_rows(ensemble.basis, detectors, right), probs, None)
+    coeffs = np.stack([np.asarray(c, dtype=complex).reshape(-1) for _, c in ensemble.components])
+    sqrt_ops = {det: ensemble.basis.detector_sqrt(det) for det in detectors}
+    return _GeneralSetup(r, sqrt_ops, probs, coeffs)
+
+
+def _general_output(setup: _GeneralSetup | None, slot_dets: tuple[DetectorModel, ...],
+                    u: np.ndarray, n_occ, m_occ) -> ProbabilityResult:
+    """P(m|n) of the general engine from its set-up, for checked occupations
+    (the set-up is None only for a vacuum input given no ensemble)."""
+    n = len(slot_dets)
+    if n == 0:
+        return _finalize(1.0 + 0j, m_occ, "general")
+    usub = _usub(u, n_occ, m_occ)
+    rows = np.stack([setup.rows[det] for det in slot_dets])
+    r, probs = setup.rank, setup.probs
+    tuples, weights = _output_tuples(r, m_occ)
+    if setup.coeffs is None:
+        route, per_tuple = "product-fold", len(probs)
+        total = _product_fold(usub, rows, tuples, weights, probs)
+    else:
+        route, per_tuple = "tensor", r**n
+        jp_tuples = np.indices((r,) * n).reshape(n, -1).T
+        step = max(1, PERMANENT_STACK_ELEMENTS // (r**n * n * n))
+        total = 0.0
+        for start in range(0, len(tuples), step):
+            pers = _tuple_permanents(usub, rows, tuples[start:start + step], jp_tuples)
+            amps = pers @ setup.coeffs.T  # (tuples, components)
+            total += weights[start:start + step] @ ((amps.real**2 + amps.imag**2) @ probs)
+    log.debug("prob_general: %s route, N=%d, r=%d, %d canonical tuples, %d permanents",
+              route, n, r, len(tuples), len(tuples) * per_tuple)
+    total /= mu(n_occ) * mu(m_occ)
+    return _finalize(total, m_occ, "general")
+
+
 def prob_general(ensemble: GeneralEnsemble, detectors: Sequence[DetectorModel] | None,
                  u: np.ndarray, n_occ, m_occ) -> ProbabilityResult:
     """General multi-occupancy, entangled-spectral-ensemble probability:
@@ -380,40 +468,10 @@ def prob_general(ensemble: GeneralEnsemble, detectors: Sequence[DetectorModel] |
     S_{i,j}[beta, alpha] = <j_alpha| sqrt(Gamma_{l_alpha}) |c_{i,beta}>, K
     permanents per tuple. Otherwise (entangled tensors, or K > r^N) the r^N
     permanents per tuple are shared by every component."""
-    n_occ, m_occ, n = _sizes(n_occ, m_occ, u.shape[0])
-    if ensemble.n != n:
-        raise ValidationError(f"ensemble describes {ensemble.n} photons, instance has {n}")
-    r = ensemble.basis.rank
-    if r**n > 10**6:
-        raise SizeLimitError(f"r^N = {r**n} exceeds the 1e6 cap")
-    ensemble.validate_symmetry(n_occ)
-    if n == 0:
-        return _finalize(1.0 + 0j, m_occ, "general")
+    n_occ, m_occ, _ = _sizes(n_occ, m_occ, u.shape[0])
     slot_dets = _slot_detectors(detectors, m_occ, u.shape[0])
-    usub = _usub(u, n_occ, m_occ)
-    sqrt_ops = {det: ensemble.basis.detector_sqrt(det) for det in set(slot_dets)}
-    rows = np.stack([sqrt_ops[det] for det in slot_dets])
-    probs = np.array([w for w, _ in ensemble.components])
-    tuples, weights = _canonical_tuples(r, mode_subgroup_blocks(m_occ))
-    if ensemble.factors is not None and len(probs) <= r**n:
-        route, per_tuple = "product-fold", len(probs)
-        total = _product_fold(usub, rows @ np.concatenate(ensemble.factors, axis=1),
-                              tuples, weights, probs)
-    else:
-        route, per_tuple = "tensor", r**n
-        jp_tuples = np.indices((r,) * n).reshape(n, -1).T
-        coeffs = np.stack([np.asarray(c, dtype=complex).reshape(-1)
-                           for _, c in ensemble.components])
-        step = max(1, PERMANENT_STACK_ELEMENTS // (r**n * n * n))
-        total = 0.0
-        for start in range(0, len(tuples), step):
-            pers = _tuple_permanents(usub, rows, tuples[start:start + step], jp_tuples)
-            amps = pers @ coeffs.T  # (tuples, components)
-            total += weights[start:start + step] @ ((amps.real**2 + amps.imag**2) @ probs)
-    log.debug("prob_general: %s route, N=%d, r=%d, %d canonical tuples, %d permanents",
-              route, n, r, len(tuples), len(tuples) * per_tuple)
-    total /= mu(n_occ) * mu(m_occ)
-    return _finalize(total, m_occ, "general")
+    setup = _general_setup(ensemble, n_occ, set(slot_dets))
+    return _general_output(setup, slot_dets, u, n_occ, m_occ)
 
 
 # -- closed-form engines ----------------------------------------------------------
@@ -528,29 +586,34 @@ class DistributionResult:
         }
 
 
-def _one_output(engine: str, u, n_occ, m_occ, photons, detectors, ensemble):
-    if engine == "classical":
-        return prob_classical(u, n_occ, m_occ)
-    if engine == "ideal":
-        return prob_ideal_indistinguishable(u, n_occ, m_occ)
-    if engine == "permanent":
-        return prob_permanent_basis(photons, detectors, u, n_occ, m_occ)
-    if engine == "general":
-        return prob_general(ensemble, detectors, u, n_occ, m_occ)
-    if engine == "oracle":
-        src = ensemble if ensemble is not None else photons
-        return prob_oracle(src, detectors, u, n_occ, m_occ)
-    if engine == "jmatrix":
-        slot_dets = _slot_detectors(detectors, m_occ, u.shape[0])
-        ls = mode_list(m_occ)
-        ks = mode_list(n_occ)
-        if any(is_mixed(p) for p in photons):
-            jm = build_mixed(photons, slot_dets, output_modes=ls, input_modes=ks)
-        else:  # single-component MixedStates are pure photons
-            jm = build_pure([pure_components(p)[0][1] for p in photons], slot_dets,
-                            output_modes=ls, input_modes=ks)
-        return prob_jmatrix(jm, u, n_occ, m_occ)
-    raise ValidationError(f"unknown engine {engine!r}; choose from {ENGINES}")
+def _jmatrix_sweep(photons: Sequence[PureState | MixedState],
+                   slot_dets: list[tuple[DetectorModel, ...]], u: np.ndarray, n_occ,
+                   outputs: list[tuple[int, ...]]) -> tuple[list[ProbabilityResult], int, int]:
+    """Every output through prob_jmatrix, with the Grams and J builds done.
+    Pure photons stack each output's slot Grams from one Gram per detector.
+    A mixed J depends on the output only through its slot detectors, so one
+    is built per distinct slot-detector tuple (one at a time, since a dense
+    J can be large) and each output takes it under its own context."""
+    ks = mode_list(n_occ)
+    results: list[ProbabilityResult] = [None] * len(outputs)  # type: ignore[list-item]
+    if any(is_mixed(p) for p in photons):
+        groups: dict[tuple[DetectorModel, ...], list[int]] = {}
+        for i, dets in enumerate(slot_dets):
+            groups.setdefault(dets, []).append(i)
+        for dets, members in groups.items():
+            jm = build_mixed(photons, dets, input_modes=ks)
+            for i in members:
+                m_occ = outputs[i]
+                results[i] = prob_jmatrix(replace(jm, output_modes=mode_list(m_occ)),
+                                          u, n_occ, m_occ)
+        return results, 0, len(groups)
+    states = [pure_components(p)[0][1] for p in photons]  # single-component MixedStates too
+    _validate_block_states(states, ks)
+    grams = {det: gram_matrix(states, det) for det in set().union(*slot_dets)}
+    for i, (m_occ, dets) in enumerate(zip(outputs, slot_dets)):
+        jm = _pure_from_grams(grams, dets, output_modes=mode_list(m_occ), input_modes=ks)
+        results[i] = prob_jmatrix(jm, u, n_occ, m_occ)
+    return results, len(grams), 0
 
 
 def output_distribution(engine: str, u: np.ndarray, n_occ, *,
@@ -558,23 +621,50 @@ def output_distribution(engine: str, u: np.ndarray, n_occ, *,
                         detectors: Sequence[DetectorModel] | None = None,
                         ensemble: GeneralEnsemble | None = None) -> DistributionResult:
     """Probabilities of every output configuration |m| = N, in canonical
-    (descending lexicographic) output order."""
-    n_occ = check_occupation(n_occ, u.shape[0])
+    (descending lexicographic) output order.
+
+    The output-independent set-up of an engine is done once per sweep: the
+    span bases of ``permanent``, the ensemble checks and detector rows of
+    ``general``, and the Grams or mixed J builds of ``jmatrix``."""
+    modes = u.shape[0]
+    n_occ = check_occupation(n_occ, modes)
     n = sum(n_occ)
     if engine not in ENGINES:
         raise ValidationError(f"unknown engine {engine!r}; choose from {ENGINES}")
-    if engine not in ("classical", "ideal") and photons is None and ensemble is None:
+    if engine in ("jmatrix", "permanent") and photons is None:
+        raise ValidationError(f"engine {engine!r} needs photons")
+    if engine in ("general", "oracle") and photons is None and ensemble is None:
         raise ValidationError(f"engine {engine!r} needs spectral data")
     if photons is not None and len(photons) != n:
         raise ValidationError(f"photon list length {len(photons)} != |n| = {n}")
-    if engine == "general" and ensemble is None:
-        ensemble = GeneralEnsemble.from_photons(photons, n_occ)
-    dist = DistributionResult(input=n_occ, engine=engine)
-    dist.results = [
-        _one_output(engine, u, n_occ, m_occ, photons, detectors, ensemble)
-        for m_occ in enumerate_outputs(u.shape[0], n)
-    ]
-    return dist
+    outputs = enumerate_outputs(modes, n)
+    grams = bases = builds = 0
+    if engine in ("jmatrix", "permanent", "general"):
+        slot_dets = [_slot_detectors(detectors, m_occ, modes) for m_occ in outputs]
+        kinds = set().union(*slot_dets)
+    if engine == "jmatrix":
+        results, grams, builds = _jmatrix_sweep(photons, slot_dets, u, n_occ, outputs)
+    elif engine == "permanent":
+        draws = _permanent_setup(photons, n_occ, kinds)
+        bases = len(draws)
+        results = [_permanent_output(draws, dets, u, n_occ, m_occ)
+                   for m_occ, dets in zip(outputs, slot_dets)]
+    elif engine == "general":
+        if ensemble is None and n:
+            ensemble, bases = GeneralEnsemble.from_photons(photons, n_occ), 1
+        setup = None if ensemble is None else _general_setup(ensemble, n_occ, kinds)
+        results = [_general_output(setup, dets, u, n_occ, m_occ)
+                   for m_occ, dets in zip(outputs, slot_dets)]
+    elif engine == "oracle":
+        src = ensemble if ensemble is not None else photons
+        results = [prob_oracle(src, detectors, u, n_occ, m_occ) for m_occ in outputs]
+    elif engine == "classical":
+        results = [prob_classical(u, n_occ, m_occ) for m_occ in outputs]
+    else:
+        results = [prob_ideal_indistinguishable(u, n_occ, m_occ) for m_occ in outputs]
+    log.debug("output_distribution: %s engine, %d outputs, set-up: %d Grams, "
+              "%d span bases, %d J builds", engine, len(outputs), grams, bases, builds)
+    return DistributionResult(input=n_occ, engine=engine, results=results)
 
 
 def normalization_report(engine: str, u: np.ndarray, n_occ, *,

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from dataclasses import replace
 from functools import partial
 
@@ -23,7 +24,9 @@ from multiphoton.jmatrix import (
     reduce_jmatrix,
 )
 from multiphoton.network import enumerate_outputs, fourier, mode_list, mu, random_unitary
+from multiphoton import probability
 from multiphoton.probability import (
+    ENGINES,
     GeneralEnsemble,
     _finalize,
     _path_products,
@@ -425,11 +428,14 @@ def test_completely_distinguishable_limit():
 
 
 def test_vacuum_input():
+    """Every engine gives the vacuum output with P = 1 for the vacuum input,
+    ``general`` too when it has no photons to build an ensemble from."""
     u = fourier(3)
     assert prob_oracle([], None, u, (0, 0, 0), (0, 0, 0)).p == pytest.approx(1.0)
     assert prob_classical(u, (0, 0, 0), (0, 0, 0)).p == pytest.approx(1.0)
-    dist = output_distribution("jmatrix", u, (0, 0, 0), photons=[])
-    assert dist.total == pytest.approx(1.0)
+    for engine in ENGINES:
+        dist = output_distribution(engine, u, (0, 0, 0), photons=[])
+        assert [(r.m, r.p, r.engine) for r in dist.results] == [((0, 0, 0), 1.0, engine)]
 
 
 MIXED_DETECTORS = (IDEAL, DetectorModel.flat(0.8),
@@ -806,3 +812,161 @@ def test_distribution_dict_shape():
     d = output_distribution("jmatrix", u, (1, 1), photons=[g, g]).to_dict()
     assert set(d) == {"input", "outputs", "sum", "engine"}
     assert d["outputs"][0]["m"] == [2, 0]
+
+
+@pytest.mark.parametrize("engine", ["jmatrix", "permanent"])
+def test_photon_engines_refuse_an_ensemble_without_photons(engine):
+    u = fourier(2)
+    ens = GeneralEnsemble.from_photons(gaussians(0.0, 0.5))
+    with pytest.raises(ValidationError, match=f"engine '{engine}' needs photons"):
+        output_distribution(engine, u, (1, 1), ensemble=ens)
+
+
+# -- one set-up per sweep ------------------------------------------------------------
+
+SWEEP_BAND = DetectorModel.gaussian_band(0.2, 1.1, 0.9)
+# per-mode band detectors; modes 0 and 2 share one, so some outputs share
+# their slot-detector tuple
+SWEEP_DETS = (SWEEP_BAND, DetectorModel.gaussian_band(-0.3, 1.5, 0.8), SWEEP_BAND,
+              DetectorModel.gaussian_band(0.1, 0.9, 1.0))
+
+
+def jitter(mean_time, nodes=3):
+    return MixedState.gaussian_time_jitter(0.0, 1.0, 0.4, mean_time=mean_time, nodes=nodes)
+
+
+@pytest.fixture
+def setup_counts(monkeypatch):
+    """Calls of the set-up work of the engines: span bases, mixed J builds,
+    and the Grams a jmatrix sweep computes itself."""
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(probability, "build_mixed",
+                        counting("build_mixed", probability.build_mixed))
+    monkeypatch.setattr(probability, "gram_matrix",
+                        counting("gram_matrix", probability.gram_matrix))
+    monkeypatch.setattr(SpanBasis, "__init__", counting("SpanBasis", SpanBasis.__init__))
+    return counts
+
+
+def distinct_slot_detectors(dets, n):
+    return {tuple(dets[l] for l in mode_list(m)) for m in enumerate_outputs(len(dets), n)}
+
+
+def assert_sweep_matches_public_calls(dist, one_output):
+    outputs = enumerate_outputs(len(dist.input), sum(dist.input))
+    assert [r.m for r in dist.results] == outputs
+    for r in dist.results:
+        assert abs(r.p - one_output(r.m).p) <= 1e-15
+
+
+def test_pure_jmatrix_sweep_computes_one_gram_per_detector(setup_counts):
+    u = random_unitary(4, 71)
+    n_occ = (2, 1, 0, 1)
+    photons = gaussians(0.0, 0.0, 0.6, -0.5)
+    dist = output_distribution("jmatrix", u, n_occ, photons=photons, detectors=SWEEP_DETS)
+    assert setup_counts == {"gram_matrix": len(set(SWEEP_DETS))}
+
+    def one_output(m_occ):
+        jm = build_j_for(photons, m_occ, SWEEP_DETS, n_occ)
+        return prob_jmatrix(jm, u, n_occ, m_occ)
+
+    assert_sweep_matches_public_calls(dist, one_output)
+
+
+def test_mixed_jmatrix_sweep_builds_one_j_per_slot_detector_tuple(setup_counts):
+    u = random_unitary(4, 72)
+    n_occ = (2, 0, 1, 0)
+    rho = jitter(0.0)
+    photons = [rho, rho, jitter(0.7)]
+    dist = output_distribution("jmatrix", u, n_occ, photons=photons, detectors=SWEEP_DETS)
+    builds = len(distinct_slot_detectors(SWEEP_DETS, 3))
+    assert builds < len(dist.results)
+    assert setup_counts["build_mixed"] == builds
+
+    def one_output(m_occ):
+        ls = mode_list(m_occ)
+        jm = build_mixed(photons, [SWEEP_DETS[l] for l in ls], output_modes=ls,
+                         input_modes=mode_list(n_occ))
+        return prob_jmatrix(jm, u, n_occ, m_occ)
+
+    assert_sweep_matches_public_calls(dist, one_output)
+
+
+def test_mixed_jmatrix_sweep_with_ideal_detectors_builds_one_j(setup_counts):
+    """Five jitter photons through fourier(5): one J serves all 126 outputs."""
+    u = fourier(5)
+    n_occ = (1,) * 5
+    photons = [jitter(0.4 * i, nodes=8) for i in range(5)]
+    dist = output_distribution("jmatrix", u, n_occ, photons=photons)
+    assert setup_counts["build_mixed"] == 1 and len(dist.results) == 126
+    assert dist.total == pytest.approx(1.0, abs=1e-9)
+    for r in dist.results[::25]:
+        jm = build_mixed(photons, (IDEAL,) * 5, output_modes=mode_list(r.m),
+                         input_modes=mode_list(n_occ))
+        assert abs(r.p - prob_jmatrix(jm, u, n_occ, r.m).p) <= 1e-15
+
+
+def test_permanent_sweep_builds_one_span_basis_per_draw(setup_counts):
+    u = random_unitary(4, 73)
+    n_occ = (1, 1, 0, 1)
+    photons = [jitter(0.0), jitter(0.5), GaussianState(0.0, 1.0, -0.4)]
+    dist = output_distribution("permanent", u, n_occ, photons=photons, detectors=SWEEP_DETS)
+    assert setup_counts == {"SpanBasis": 3 * 3}  # one per draw of the two 3-node photons
+    assert_sweep_matches_public_calls(
+        dist, lambda m_occ: prob_permanent_basis(photons, SWEEP_DETS, u, n_occ, m_occ))
+
+
+def test_general_sweep_builds_one_span_basis(setup_counts):
+    u = random_unitary(4, 74)
+    n_occ = (2, 1, 0, 1)
+    rho = jitter(0.0, nodes=2)
+    photons = [rho, rho, jitter(0.6, nodes=2), GaussianState(0.0, 1.0, -0.4)]
+    dist = output_distribution("general", u, n_occ, photons=photons, detectors=SWEEP_DETS)
+    assert setup_counts == {"SpanBasis": 1}
+    ensemble = GeneralEnsemble.from_photons(photons, n_occ)
+    assert_sweep_matches_public_calls(
+        dist, lambda m_occ: prob_general(ensemble, SWEEP_DETS, u, n_occ, m_occ))
+
+
+def test_oracle_sweep_matches_public_calls():
+    u = random_unitary(4, 75)
+    n_occ = (2, 0, 1, 0)
+    rho = jitter(0.0, nodes=2)
+    photons = [rho, rho, jitter(0.7, nodes=2)]
+    dist = output_distribution("oracle", u, n_occ, photons=photons, detectors=SWEEP_DETS)
+    assert_sweep_matches_public_calls(
+        dist, lambda m_occ: prob_oracle(photons, SWEEP_DETS, u, n_occ, m_occ))
+
+
+def test_sweep_names_its_set_up_in_debug_log(caplog):
+    u = random_unitary(4, 76)
+    n_occ = (1, 0, 1, 0)
+    mixed = [jitter(0.0), jitter(0.7)]
+    pure = gaussians(0.0, 0.7)
+    with caplog.at_level("DEBUG", logger="multiphoton.probability"):
+        output_distribution("jmatrix", u, n_occ, photons=mixed, detectors=SWEEP_DETS)
+        output_distribution("jmatrix", u, n_occ, photons=pure, detectors=SWEEP_DETS)
+        output_distribution("permanent", u, n_occ, photons=mixed)
+        output_distribution("general", u, n_occ, photons=pure)
+        output_distribution("ideal", u, n_occ)
+    builds = len(distinct_slot_detectors(SWEEP_DETS, 2))
+    assert [r.getMessage() for r in caplog.records
+            if r.getMessage().startswith("output_distribution")] == [
+        f"output_distribution: jmatrix engine, 10 outputs, set-up: 0 Grams, 0 span bases, "
+        f"{builds} J builds",
+        "output_distribution: jmatrix engine, 10 outputs, set-up: 3 Grams, 0 span bases, "
+        "0 J builds",
+        "output_distribution: permanent engine, 10 outputs, set-up: 0 Grams, 9 span bases, "
+        "0 J builds",
+        "output_distribution: general engine, 10 outputs, set-up: 0 Grams, 1 span bases, "
+        "0 J builds",
+        "output_distribution: ideal engine, 10 outputs, set-up: 0 Grams, 0 span bases, "
+        "0 J builds",
+    ]
