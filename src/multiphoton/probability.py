@@ -4,8 +4,10 @@ All engines compute P(m|n) for the same physical input and must agree; they
 differ in the route:
 
 * prob_jmatrix: with the partial-indistinguishability matrix J. A J with
-  structure (per-slot Grams or cycle-type values) is evaluated as the sum of
-  N! permanents over tau = s2 s1^{-1}, P = (1/(mu mu)) sum_tau per(A_tau); a
+  structure (per-slot Grams or cycle-type values) is evaluated as the sum
+  over tau = s2 s1^{-1}, P = (1/(mu mu)) sum_tau per(A_tau), with one
+  permanent per pair {tau, tau^-1} (J is Hermitian, so the two permanents
+  are conjugate): (N! + I_N)/2 permanents, I_N the number of involutions; a
   J stored as a dense matrix through the N!^2 quadratic form X^dagger J X;
 * prob_permanent_basis: finite-basis sum of |per(U[n|m] . S(j))|^2 over basis
   tuples (single photon or vacuum per input mode);
@@ -54,7 +56,7 @@ from .spectral import (
     is_mixed,
     pure_components,
 )
-from .symgroup import mode_subgroup_blocks, permutation_array
+from .symgroup import inverse_pairs, mode_subgroup_blocks, permutation_array
 
 log = logging.getLogger(__name__)
 
@@ -128,10 +130,12 @@ def prob_jmatrix(jm: JMatrix, u: np.ndarray, n_occ, m_occ) -> ProbabilityResult:
     Two routes, chosen by the storage of J. A J with structure (per-slot
     Grams, or one value per cycle type) is evaluated without the quadratic
     form: substituting tau = s2 s1^{-1} turns it into sum_tau per(A_tau) with
-    A_tau[b, a] = conj(U[k_b, l_a]) U[k_tau(b), l_a] G_{l_a}[b, tau(b)]
-    (Shchesnovich, PRA 91, 013844, 2015; Tichy, PRA 91, 022316, 2015), or
-    J_ct(tau) per(conj(U[k_b, l_a]) U[k_tau(b), l_a]) for a cycle J. A J
-    stored as a dense matrix goes through X^dagger J X."""
+    A_tau[b, a] = W[b, tau(b), a], W[b, c, a] = conj(U[k_b, l_a]) U[k_c, l_a]
+    G_{l_a}[b, c] (Shchesnovich, PRA 91, 013844, 2015; Tichy, PRA 91, 022316,
+    2015), or J_ct(tau) per(A_tau) without the G factor for a cycle J. J is
+    Hermitian, so per(A_tau^-1) = conj per(A_tau) and one permanent per pair
+    {tau, tau^-1} suffices (``_tau_permanent_sum``). A J stored as a dense
+    matrix goes through X^dagger J X."""
     n_occ, m_occ, n = _sizes(n_occ, m_occ, u.shape[0])
     if n > JMATRIX_MAX_N:
         raise SizeLimitError(f"prob_jmatrix capped at N <= {JMATRIX_MAX_N}, got {n}")
@@ -147,35 +151,52 @@ def prob_jmatrix(jm: JMatrix, u: np.ndarray, n_occ, m_occ) -> ProbabilityResult:
         return _finalize(1.0 + 0j, m_occ, "jmatrix")
     if jm.storage == "dense":
         x = _path_products(u, n_occ, m_occ)
-        route, raw = "dense", np.vdot(x, jm.dense @ x)
+        route, raw, terms, permanents = "dense", np.vdot(x, jm.dense @ x), 0, 0
     else:
         route, raw = "tau-permanent", _tau_permanent_sum(jm, _usub(u, n_occ, m_occ))
-    log.debug("prob_jmatrix: %s route, N=%d, %d tau terms", route, n,
-              math.factorial(n) if route == "tau-permanent" else 0)
+        terms, permanents = math.factorial(n), len(inverse_pairs(n).positions)
+    log.debug("prob_jmatrix: %s route, N=%d, %d tau terms, %d permanents",
+              route, n, terms, permanents)
     raw /= mu(n_occ) * mu(m_occ)
     return _finalize(raw, m_occ, "jmatrix")
 
 
 def _tau_permanent_sum(jm: JMatrix, usub: np.ndarray) -> complex:
-    """sum_tau per(A_tau) over every tau in S_N, in stacks of at most
-    PERMANENT_STACK_ELEMENTS entries; usub[b, a] = U[k_b, l_a]. A cycle J
-    weights per(conj(U[k_b, l_a]) U[k_tau(b), l_a]) by J_ct(tau)."""
+    """sum_tau per(A_tau) over S_N with one permanent per pair {tau, tau^-1}:
+    sum over involutions of per(A_tau) plus 2 sum over the other pairs of
+    Re per(A_tau), in stacks of at most PERMANENT_STACK_ELEMENTS entries;
+    usub[b, a] = U[k_b, l_a]. Each stack is one gather A_tau = W[rows, tau]
+    from W[b, c, a] = conj(U[k_b, l_a]) U[k_c, l_a] G_{l_a}[b, c]; a cycle J
+    leaves out G and weights per(A_tau) by J_ct(tau). The imaginary part is
+    the involutions' alone, which the caller's residual check reads.
+
+    The pairing needs J(tau^-1) = conj J(tau): a cycle value with an
+    imaginary part or a non-Hermitian slot Gram raises ValidationError."""
     n = usub.shape[0]
-    taus = permutation_array(n)
-    rows = np.arange(n)
+    pairs = inverse_pairs(n)
+    w = usub.conj()[:, None, :] * usub[None, :, :]
     if jm.slot_grams is None:
-        weights = jm.cycle_weights()
+        values = jm.cycle_weights()[pairs.positions]
+        if np.any(np.abs(values.imag) > IMAG_RESIDUAL_TOL * np.maximum(1.0, np.abs(values.real))):
+            raise ValidationError("tau route needs real cycle values (a Hermitian J)")
+        values = values.real
+    else:
+        grams = jm.slot_grams
+        if np.max(np.abs(grams - grams.conj().transpose(0, 2, 1))) > 1e-12:
+            raise ValidationError("tau route needs Hermitian slot Grams (a Hermitian J)")
+        w *= grams.transpose(1, 2, 0)  # G_{l_a}[b, c]
+        values = 1.0
+    weights = np.where(pairs.involution, 1.0, 2.0) * values
+    imag_weights = weights * pairs.involution
+    rows = np.arange(n)
     step = max(1, PERMANENT_STACK_ELEMENTS // (n * n))
-    total = 0.0 + 0.0j
-    for start in range(0, len(taus), step):
-        tau = taus[start:start + step]
-        stack = usub.conj() * usub[tau]
-        if jm.slot_grams is None:
-            total += weights[start:start + step] @ permanent_ryser_batch(stack)
-        else:
-            stack *= jm.slot_grams[:, rows, tau].transpose(1, 2, 0)  # G_{l_a}[b, tau(b)]
-            total += permanent_ryser_batch(stack).sum()
-    return total
+    real = imag = 0.0
+    for start in range(0, len(pairs.positions), step):
+        part = slice(start, start + step)
+        pers = permanent_ryser_batch(w[rows, pairs.images[part]])
+        real += weights[part] @ pers.real
+        imag += imag_weights[part] @ pers.imag
+    return complex(real, imag)
 
 
 # -- permanent-basis engine -----------------------------------------------------

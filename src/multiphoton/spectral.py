@@ -154,28 +154,33 @@ IDEAL = DetectorModel.ideal()
 
 # -- overlaps -------------------------------------------------------------------
 
-def _gauss_quadratic(a: GaussianState, b: GaussianState, det: DetectorModel) -> complex:
-    """Closed form of <a| Gamma |b> for Gaussian states.
-
-    The integrand is a product of Gaussians, so the frequency integral is
-    prefactor * sqrt(pi/A) * exp(B^2/(4A) + C) with A, B, C read off from
-    the combined exponent."""
-    if a.pol != b.pol:
-        return 0.0 + 0.0j
-    va, vb = a.delta**2, b.delta**2
-    aa = 1.0 / (4.0 * va) + 1.0 / (4.0 * vb)
-    bb = 1j * (b.t - a.t) + a.omega / (2.0 * va) + b.omega / (2.0 * vb)
-    cc = -(a.omega**2) / (4.0 * va) - (b.omega**2) / (4.0 * vb)
-    pref = (2.0 * np.pi * va) ** -0.25 * (2.0 * np.pi * vb) ** -0.25
+def _gauss_shares(state: GaussianState, det: DetectorModel) -> tuple[float, complex, float, float]:
+    """A Gaussian state's share (A, B, C, p) of the closed form of
+    ``_gauss_quadratic``; the detector's terms are split evenly between the
+    two states."""
+    v = state.delta**2
+    a, b, c = 0.25 / v, state.omega / (2.0 * v) + 1j * state.t, -0.25 * state.omega**2 / v
+    p = (2.0 * math.pi * v) ** -0.25
     if det.kind == "flat":
-        pref *= det.eta
+        p *= math.sqrt(det.eta)
     elif det.kind == "gaussianBand":
         w2 = det.width**2
-        aa += 1.0 / (2.0 * w2)
-        bb += det.center / w2
-        cc += -(det.center**2) / (2.0 * w2)
-        pref *= det.peak
-    return pref * np.sqrt(np.pi / aa) * np.exp(bb * bb / (4.0 * aa) + cc)
+        a, b, c = a + 0.25 / w2, b + 0.5 * det.center / w2, c - 0.25 * det.center**2 / w2
+        p *= math.sqrt(det.peak)
+    return a, b, c, p
+
+
+def _gauss_quadratic(a, b):
+    """Closed form of <a| Gamma |b> for Gaussian states of one polarization
+    from their shares (``_gauss_shares``); the shares may be arrays that
+    broadcast against each other (``gram_matrix`` passes the whole pair grid).
+
+    The integrand is a product of Gaussians, so the frequency integral is
+    p_a p_b sqrt(pi/A) exp(B^2/(4A) + C) with A = A_a + A_b,
+    B = conj(B_a) + B_b and C = C_a + C_b read off from the combined
+    exponent. B is real for a = b, so the diagonal of a Gram is real."""
+    aa, bb, cc = a[0] + b[0], np.conj(a[1]) + b[1], a[2] + b[2]
+    return (a[3] * b[3]) * np.sqrt(np.pi / aa) * np.exp(bb * bb / (4.0 * aa) + cc)
 
 
 def overlap(a: PureState, det: DetectorModel, b: PureState) -> complex:
@@ -185,7 +190,9 @@ def overlap(a: PureState, det: DetectorModel, b: PureState) -> complex:
             raise IncompatibleRepresentationError(
                 "matrix detectors act on finite-rank states, not Gaussian ones"
             )
-        return complex(_gauss_quadratic(a, b, det))
+        if a.pol != b.pol:
+            return 0.0 + 0.0j
+        return complex(_gauss_quadratic(_gauss_shares(a, det), _gauss_shares(b, det)))
     if isinstance(a, FiniteRankState) and isinstance(b, FiniteRankState):
         if a.rank != b.rank:
             raise IncompatibleRepresentationError(
@@ -211,9 +218,20 @@ def overlap(a: PureState, det: DetectorModel, b: PureState) -> complex:
 
 
 def gram_matrix(states: Sequence[PureState], det: DetectorModel | None = None) -> np.ndarray:
-    """Hermitian PSD matrix of detector-weighted pairwise overlaps."""
+    """Hermitian PSD matrix of detector-weighted pairwise overlaps.
+
+    Gaussian states are evaluated over the whole pair grid at once; the
+    upper triangle is mirrored, so the result is exactly Hermitian with a
+    real diagonal, and states of different polarization do not overlap."""
     det = det or IDEAL
     n = len(states)
+    if n and det.kind != "matrix" and all(isinstance(s, GaussianState) for s in states):
+        a, b, c, p = np.array([_gauss_shares(s, det) for s in states]).T
+        a, c, p = a.real, c.real, p.real
+        g = _gauss_quadratic((a[:, None], b[:, None], c[:, None], p[:, None]), (a, b, c, p))
+        pol, rows = np.array([s.pol for s in states]), np.arange(n)
+        g *= pol[:, None] == pol
+        return np.where(rows[:, None] <= rows, g, g.T.conj())  # the upper triangle, mirrored
     g = np.empty((n, n), dtype=complex)
     for i in range(n):
         g[i, i] = overlap(states[i], det, states[i]).real

@@ -23,7 +23,9 @@ from multiphoton.jmatrix import (
     build_pure,
     reduce_jmatrix,
 )
+from multiphoton.bosonsampling import BSParams, build_bs_jmatrix
 from multiphoton.network import enumerate_outputs, fourier, mode_list, mu, random_unitary
+from multiphoton.permanent import permanent_ryser_batch
 from multiphoton import probability
 from multiphoton.probability import (
     ENGINES,
@@ -47,6 +49,7 @@ from multiphoton.spectral import (
     MixedState,
     SpanBasis,
 )
+from multiphoton.symgroup import permutation_array
 from multiphoton.verify import engine_discrepancy, random_instance
 
 
@@ -482,9 +485,9 @@ def test_tau_route_names_itself_in_debug_log(caplog):
         prob_jmatrix(dense, u, (1, 1, 1), (1, 1, 1))
         prob_jmatrix(cycle, u, (1, 1, 1), (1, 1, 1))
     assert [r.getMessage() for r in caplog.records] == [
-        "prob_jmatrix: tau-permanent route, N=3, 6 tau terms",
-        "prob_jmatrix: dense route, N=3, 0 tau terms",
-        "prob_jmatrix: tau-permanent route, N=3, 6 tau terms",
+        "prob_jmatrix: tau-permanent route, N=3, 6 tau terms, 5 permanents",
+        "prob_jmatrix: dense route, N=3, 0 tau terms, 0 permanents",
+        "prob_jmatrix: tau-permanent route, N=3, 6 tau terms, 5 permanents",
     ]
 
 
@@ -560,6 +563,85 @@ def test_eight_photon_tau_route_limits(gap, reference):
         for other in (build_cycle_compressed(g, IDEAL, 8),
                       build_extreme("ind", n_occ, (IDEAL,) * 8, [g])):
             assert prob_jmatrix(other, u, n_occ, m_occ).p == pytest.approx(expected, rel=1e-9)
+
+
+def _full_tau_sum(jm, u, n_occ, m_occ):
+    """P from sum_tau per(A_tau) over all N! tau, one permanent each:
+    A_tau[b, a] = conj(U[k_b, l_a]) U[k_tau(b), l_a] G_{l_a}[b, tau(b)], or
+    J_ct(tau) per(conj(U[k_b, l_a]) U[k_tau(b), l_a]) for a cycle J."""
+    usub = u[np.ix_(mode_list(n_occ), mode_list(m_occ))]
+    taus = permutation_array(jm.n)
+    stack = usub.conj() * usub[taus]
+    if jm.slot_grams is None:
+        total = jm.cycle_weights() @ permanent_ryser_batch(stack)
+    else:
+        stack *= jm.slot_grams[:, np.arange(jm.n), taus].transpose(1, 2, 0)
+        total = permanent_ryser_batch(stack).sum()
+    assert abs(total.imag) <= 1e-12 * abs(total.real)
+    return total.real / (mu(n_occ) * mu(m_occ))
+
+
+def test_seven_photon_pairing_matches_full_tau_sum():
+    """One permanent per {tau, tau^-1} pair equals the full 5040-tau sum: a
+    pure J with a different band detector on every mode on a multi-occupancy
+    output, and a cycle J from a jitter state."""
+    u = random_unitary(8, 77)
+    n_occ = (1, 1, 1, 1, 1, 1, 1, 0)
+    m_occ = (2, 0, 1, 1, 1, 1, 0, 1)
+    ls = mode_list(m_occ)
+    dets = [DetectorModel.gaussian_band(center=0.15 * l - 0.5, width=0.9 + 0.2 * l,
+                                        peak=1.0 - 0.03 * l) for l in range(8)]
+    pure = build_pure(gaussians(*(0.6 * i for i in range(7))), tuple(dets[l] for l in ls),
+                      output_modes=ls)
+    cycle = build_cycle_compressed(MixedState.gaussian_time_jitter(0.0, 1.0, 0.7, nodes=8),
+                                   IDEAL, 7)
+    for jm in (pure, cycle):
+        expected = _full_tau_sum(jm, u, n_occ, m_occ)
+        assert prob_jmatrix(jm, u, n_occ, m_occ).p == pytest.approx(expected, rel=1e-12)
+
+
+def test_tau_route_rejects_a_non_hermitian_j():
+    """Pairing tau with tau^-1 needs J(tau^-1) = conj J(tau): a complex cycle
+    value or a non-Hermitian slot Gram raises instead of losing its
+    imaginary part."""
+    u = random_unitary(3, 23)
+    n_occ = m_occ = (1, 1, 1)
+    cycle = build_cycle_compressed(MixedState.gaussian_time_jitter(0.0, 1.0, 0.5, nodes=8),
+                                   IDEAL, 3)
+    skewed = replace(cycle, cycle_values={ct: v * (1 + 1e-6j) if ct[0] < 3 else v
+                                          for ct, v in cycle.cycle_values.items()})
+    with pytest.raises(ValidationError, match="real cycle values"):
+        prob_jmatrix(skewed, u, n_occ, m_occ)
+    pure = build_j_for(gaussians(0.0, 0.5, 1.0), m_occ)
+    grams = pure.slot_grams.copy()
+    grams[1, 0, 2] += 1e-9
+    with pytest.raises(ValidationError, match="Hermitian slot Grams"):
+        prob_jmatrix(replace(pure, slot_grams=grams), u, n_occ, m_occ)
+
+
+def test_every_builder_gives_a_hermitian_j():
+    """The J of every builder passes the tau route's Hermiticity checks."""
+    u = random_unitary(4, 24)
+    n_occ, m_occ = (2, 1, 1, 0), (1, 0, 2, 1)
+    ls = mode_list(m_occ)
+    dets = [DetectorModel.gaussian_band(center=0.2 * l, width=1.0 + 0.3 * l, peak=0.9)
+            for l in range(4)]
+    slot_dets = tuple(dets[l] for l in ls)
+    ks = mode_list(n_occ)
+    rho = MixedState.gaussian_time_jitter(0.0, 1.0, 0.5, nodes=8)
+    builds = [
+        build_pure([GaussianState(0.0, 1.0, 0.4 * k) for k in ks], slot_dets,
+                   output_modes=ls, input_modes=ks),
+        build_cycle_compressed(rho, DetectorModel.flat(0.8), 4),
+        build_extreme("ind", n_occ, slot_dets, [GaussianState(0.0, 1.0, 0.3)], output_modes=ls),
+        build_extreme("cl", n_occ, slot_dets, [GaussianState(0.0, 1.0, 20.0 * k) for k in ks],
+                      output_modes=ls),
+        build_bs_jmatrix(BSParams(4, spectral_width=2.0, time_spread=0.5)),
+    ]
+    for jm in builds:
+        assert jm.storage != "dense"
+        assert prob_jmatrix(jm, u, n_occ, m_occ).p == pytest.approx(
+            _full_tau_sum(jm, u, n_occ, m_occ), rel=1e-12, abs=1e-15)
 
 
 @pytest.mark.parametrize("eps", [1e-3, 1e-5])

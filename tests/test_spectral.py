@@ -170,6 +170,26 @@ def test_gram_two_delayed_gaussians():
     assert gm[1, 0] == pytest.approx(np.conj(expected), abs=1e-12)
 
 
+@pytest.mark.parametrize("det", [IDEAL, DetectorModel.flat(0.7),
+                                 DetectorModel.gaussian_band(0.3, 1.2, 0.8)])
+def test_gaussian_gram_grid_matches_scalar_overlaps(det):
+    """The Gaussian Gram, evaluated over the whole pair grid, equals the
+    scalar overlaps, is exactly Hermitian with a real diagonal, and is zero
+    across polarizations."""
+    rng = np.random.default_rng(11)
+    states = [GaussianState(float(rng.uniform(-1, 1)), float(rng.uniform(0.5, 2.0)),
+                            float(rng.uniform(-2, 2)), int(rng.integers(0, 2)))
+              for _ in range(12)]
+    g = gram_matrix(states, det)
+    expected = np.array([[overlap(a, det, b) for b in states] for a in states])
+    assert np.max(np.abs(g - expected)) <= 1e-15
+    assert np.array_equal(g, g.conj().T)
+    assert np.all(g.diagonal().imag == 0)
+    pol = np.array([s.pol for s in states])
+    assert 0 < np.count_nonzero(pol) < len(states)
+    assert np.all(g[pol[:, None] != pol] == 0)
+
+
 def test_gram_psd(rng):
     states = [
         GaussianState(float(rng.normal()), 1.0, float(rng.normal())) for _ in range(4)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from multiphoton.symgroup import (
     cycle_types,
     enumerate_permutations,
     identity,
+    inverse_pairs,
     mode_subgroup_blocks,
     partitions,
     permutation_array,
@@ -60,6 +62,45 @@ def test_relative_positions_match_composition():
     pos = relative_positions(4)
     for (i, s1), (j, s2) in itertools.product(enumerate(perms), repeat=2):
         assert pos[i, j] == permutation_index(s2 * s1.inverse())
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_inverse_pairs_pick_one_of_each_pair(n):
+    """The representative of {tau, tau^-1} has the smaller position: its
+    inverse is itself (an involution) or not a representative, and every tau
+    is a representative or the inverse of one. The shared arrays are read-only."""
+    pairs = inverse_pairs(n)
+    assert not any(a.flags.writeable for a in (pairs.positions, pairs.images, pairs.involution))
+    reps = pairs.positions.tolist()
+    assert reps == sorted(set(reps))
+    assert np.array_equal(pairs.images, permutation_array(n)[pairs.positions])
+    inverse = [permutation_index(Permutation(t).inverse()) for t in pairs.images.tolist()]
+    assert [i == r for i, r in zip(inverse, reps)] == pairs.involution.tolist()
+    assert not set(reps) & {i for i, r in zip(inverse, reps) if i != r}
+    assert all(i >= r for i, r in zip(inverse, reps))
+    assert set(reps) | set(inverse) == set(range(math.factorial(n)))
+
+
+def test_inverse_pairs_counts():
+    """Representatives (N! + I_N) / 2 and involutions I_N, the telephone numbers."""
+    assert [len(inverse_pairs(n).positions) for n in range(9)] == [
+        1, 1, 2, 5, 17, 73, 398, 2636, 20542]
+    assert [int(inverse_pairs(n).involution.sum()) for n in range(9)] == [
+        1, 1, 2, 4, 10, 26, 76, 232, 764]
+
+
+def test_inverse_pairs_build_needs_no_code_table():
+    """The N = 8 build stays far below the 128 MiB of an N^N intp code table."""
+    permutation_array(8)
+    inverse_pairs.cache_clear()
+    tracemalloc.start()
+    try:
+        inverse_pairs(8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    code_table = 8**8 * np.dtype(np.intp).itemsize  # 128 MiB
+    assert peak < code_table / 4
 
 
 def test_enumerate_n1_identity_only():
