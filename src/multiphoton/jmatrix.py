@@ -21,8 +21,8 @@ N <= DENSE_CAP. ``as_dense`` materialises the first two on demand
 (N <= DENSE_CAP) and caches the result.
 
 A mixed build traces each distinct cycle of S_N (``symgroup.cycle_table``)
-once per detector labelling and gathers J by the relative position of
-s2 s1^{-1}, as ``as_dense`` does for a cycle J.
+once per detector labelling, on blocks of the photons' own density
+operators, and gathers J by the relative position of s2 s1^{-1}.
 
 With dissimilar detectors the entries depend on the output configuration, so
 every J carries its output context (the mode list it was built for) and the
@@ -46,10 +46,10 @@ from .errors import (
 )
 from .network import mode_list
 from .spectral import (
+    GRAM_TOL,
     DetectorModel,
     MixedState,
     PureState,
-    SpanBasis,
     gram_matrix,
     pure_components,
 )
@@ -217,17 +217,29 @@ def _pure_from_grams(grams: dict[DetectorModel, np.ndarray],
                    input_modes=tuple(input_modes) if input_modes is not None else None)
 
 
-def _operator_setup(states: Sequence[PureState | MixedState],
-                    detectors: Sequence[DetectorModel]):
-    """Common span basis, stacked per-photon density operators, the operator
-    of each distinct detector, and the index of each slot's detector in it."""
+def _photon_blocks(states: Sequence[PureState | MixedState],
+                   detectors: Sequence[DetectorModel]) -> tuple[np.ndarray, np.ndarray]:
+    """Blocks B^d_{a,b} = X_a^dagger (Phi_a^dagger Gamma_d Phi_b) X_b of every
+    distinct detector d, (D, N, N, r, r), and each slot's index into them.
+    Photon a is rho_a = Phi_a P_a Phi_a^dagger (components Phi_a, weights
+    P_a) and X_a = P_a^(1/2) V_a, V_a the eigenvectors of
+    P_a^(1/2) Phi_a^dagger Phi_a P_a^(1/2) above GRAM_TOL of the largest,
+    zero-padded to the largest rank r; nothing is divided by an eigenvalue."""
     comps = [pure_components(st) for st in states]
-    basis = SpanBasis([s for c in comps for _, s in c])
-    coords = np.split(basis.coords, np.cumsum([len(c) for c in comps])[:-1], axis=1)
-    rho_ops = np.array([(v * [w for w, _ in c]) @ v.conj().T for c, v in zip(comps, coords)])
+    xs = []
+    for c in comps:
+        root = np.sqrt([w for w, _ in c])
+        w, v = np.linalg.eigh(root[:, None] * gram_matrix([s for _, s in c]) * root)
+        xs.append(root[:, None] * v[:, w > GRAM_TOL * w[-1]])
+    n, r = len(states), max(x.shape[1] for x in xs)
+    # X_a on the rows of photon a's components and in column block a
+    x = np.concatenate([np.pad(xa[:, None], ((0, 0), (a, n - 1 - a), (0, r - xa.shape[1])))
+                        for a, xa in enumerate(xs)]).reshape(-1, n * r)
     kinds = list(dict.fromkeys(detectors))
-    det_ops = np.array([basis.detector_matrix(det) for det in kinds])
-    return basis, rho_ops, det_ops, np.array([kinds.index(d) for d in detectors])
+    all_states = [s for c in comps for _, s in c]
+    blocks = np.array([x.conj().T @ gram_matrix(all_states, det) @ x for det in kinds])
+    blocks = blocks.reshape(len(kinds), n, r, n, r).transpose(0, 1, 3, 2, 4)
+    return blocks, np.array([kinds.index(d) for d in detectors])
 
 
 def build_mixed(states: Sequence[PureState | MixedState],
@@ -293,24 +305,32 @@ def _labelled_cycle_weights(states, detectors,
     fluctuating photons, tau in canonical order, and the labelling of each
     row of ``s2_inverses``: L(s2)(a) = detector of slot s2^-1(a) and
     w_L(tau) = prod over the cycles (a_1 ... a_k) of tau of
-    Tr{Gamma_{L(a_1)} rho_{a_1} ... Gamma_{L(a_k)} rho_{a_k}}. Each cycle of
-    ``cycle_table`` is traced once per labelling, its product one step from
-    its parent's, in stacks of at most CYCLE_STACK_ELEMENTS entries."""
-    basis, rho_ops, det_ops, slot_kind = _operator_setup(states, detectors)
+    Tr{Gamma_{L(a_1)} rho_{a_1} ... Gamma_{L(a_k)} rho_{a_k}}
+    = Tr{B^{L(a_2)}_{a_1 a_2} ... B^{L(a_1)}_{a_k a_1}} (``_photon_blocks``).
+    Each cycle of ``cycle_table`` is traced once per labelling: its open
+    product is one block from its parent's, and the block back to its first
+    element closes it. Stacks hold at most CYCLE_STACK_ELEMENTS entries."""
+    blocks, slot_kind = _photon_blocks(states, detectors)
     labellings, row_labelling = np.unique(slot_kind[s2_inverses], axis=0, return_inverse=True)
-    n, r = len(states), basis.rank
+    n, r = len(states), blocks.shape[-1]
     table = cycle_table(n)
     level_start = np.searchsorted(table.length, np.arange(1, n + 2))
+    rows = np.arange(n)
     step = max(1, CYCLE_STACK_ELEMENTS // (len(table.length) * r * r))
     weights = np.empty((len(labellings), len(table.ids)), dtype=complex)
     for start in range(0, len(labellings), step):
-        ops = det_ops[labellings[start:start + step]] @ rho_ops  # the fixed points
-        prods, traces = ops, [np.trace(ops, axis1=2, axis2=3)]
+        lab = labellings[start:start + step]
+        traces = [np.trace(blocks[lab, rows, rows], axis1=2, axis2=3)]  # the fixed points
+        first = previous = rows  # the first and last elements of the level's cycles
         for k in range(2, n + 1):
             cyc = slice(level_start[k - 1], level_start[k])
-            prods = prods[:, table.parent[cyc] - level_start[k - 2]] @ ops[:, table.last[cyc]]
-            traces.append(np.trace(prods, axis1=2, axis2=3))
-        traces.append(np.ones((len(ops), 1)))  # the padding id C
+            parent, last = table.parent[cyc] - level_start[k - 2], table.last[cyc]
+            block = blocks[lab[:, last], previous[parent], last]
+            opens = block if k == 2 else opens[:, parent] @ block
+            first, previous = first[parent], last
+            close = blocks[lab[:, first], last, first]
+            traces.append(np.einsum("lcij,lcji->lc", opens, close))
+        traces.append(np.ones((len(lab), 1)))  # the padding id C
         weights[start:start + step] = np.concatenate(traces, axis=1)[:, table.ids].prod(axis=2)
     return weights, row_labelling.reshape(-1)
 
@@ -403,19 +423,17 @@ def reduce_jmatrix(jm: JMatrix) -> ReducedJMatrix:
 
 def mandel_visibility(rho1: PureState | MixedState, rho2: PureState | MixedState,
                       det1: DetectorModel, det2: DetectorModel) -> complex:
-    """Two-photon visibility V = J(T, I) / sqrt(J(I, I) J(T, T)).
+    """Two-photon visibility V = J(T, I) / sqrt(J(I, I) J(T, T)), read from
+    ``build_mixed`` with det1 on the first slot and det2 on the second.
 
     J(I,I) = Tr(G1 r1) Tr(G2 r2), J(T,T) = Tr(G2 r1) Tr(G1 r2),
     J(T,I) = Tr(G1 r1 G2 r2); |V| <= 1 follows from positivity.
     """
-    basis, (r1, r2), det_ops, slot_kind = _operator_setup([rho1, rho2], (det1, det2))
-    g1, g2 = det_ops[slot_kind]
-    j_ii = np.trace(g1 @ r1).real * np.trace(g2 @ r2).real
-    j_tt = np.trace(g2 @ r1).real * np.trace(g1 @ r2).real
+    j = build_mixed([rho1, rho2], (det1, det2)).dense
+    j_ii, j_tt = j[0, 0].real, j[1, 1].real
     if j_ii <= 0.0 or j_tt <= 0.0:
         raise DegenerateDetectionError("a two-photon path has zero detection probability")
-    j_ti = np.trace(g1 @ r1 @ g2 @ r2)
-    return complex(j_ti / math.sqrt(j_ii * j_tt))
+    return complex(j[1, 0] / math.sqrt(j_ii * j_tt))
 
 
 def purity(jm: JMatrix | ReducedJMatrix) -> PurityResult:

@@ -22,6 +22,10 @@ differ in the route:
   permutation-sum identity; slow, independent of every other engine, and the
   arbiter when they disagree.
 
+The permanent engine and the product fold share one route: each draw of N
+pure slot states takes the rows of S(j) from factors R_l^dagger R_l = G_l of
+its Gamma_l-weighted Grams (Tichy, PRA 91, 022316, 2015).
+
 Multiplicity factors mu(n), mu(m) live here and nowhere else.
 """
 
@@ -52,6 +56,7 @@ from .spectral import (
     MixedState,
     PureState,
     SpanBasis,
+    gram_factor,
     gram_matrix,
     is_mixed,
     pure_components,
@@ -236,39 +241,59 @@ def _tuple_permanents(usub: np.ndarray, rows: np.ndarray, tuples: np.ndarray,
                       cols: np.ndarray) -> np.ndarray:
     """per(U[n|m] . S) for every basis tuple j (a row of ``tuples``) and column
     choice c (a row of ``cols``), where S[beta, alpha] = rows[alpha, j_alpha, c_beta]
-    and rows[alpha] is the (r, K) row source of output slot alpha. Shape (T, C)."""
+    and rows[alpha] is the row source of output slot alpha. Shape (T, C)."""
     n = usub.shape[0]
     stack = usub * rows[np.arange(n), tuples][:, :, cols].transpose(0, 2, 3, 1)
     return permanent_ryser_batch(stack.reshape(-1, n, n)).reshape(len(tuples), len(cols))
 
 
-def _product_fold(usub: np.ndarray, rows: np.ndarray, tuples: np.ndarray,
-                  weights: np.ndarray, probs: np.ndarray) -> float:
-    """sum_i p_i sum_j w_j |per(U[n|m] . S_{i,j})|^2 for K product components,
-    S_{i,j}[beta, alpha] = rows[alpha, j_alpha, i N + beta]: the photons of
-    component i are its N columns of the (N, r, K N) slot rows. Stacks hold
-    at most PERMANENT_STACK_ELEMENTS entries."""
-    n = usub.shape[0]
-    cols = np.arange(rows.shape[2]).reshape(-1, n)
-    step = max(1, PERMANENT_STACK_ELEMENTS // (len(cols) * n * n))
-    total = 0.0
-    for start in range(0, len(tuples), step):
-        pers = _tuple_permanents(usub, rows, tuples[start:start + step], cols)
-        total += weights[start:start + step] @ ((pers.real**2 + pers.imag**2) @ probs)
-    return float(total)
+def _gram_draws(draws, detectors) -> list[tuple[float, int, dict]]:
+    """Set-up of the product fold: for each (weight, N slot states) draw its
+    weight, rank r and, per detector, the (r, N) slot columns of the
+    ``gram_factor`` of the Gram of its distinct states (duplicates add no
+    rank), zero-padded to r, the largest rank over the detectors."""
+    out = []
+    for weight, states in draws:
+        distinct = list(dict.fromkeys(states))
+        cols = [distinct.index(s) for s in states]
+        factors = {det: gram_factor(gram_matrix(distinct, det)) for det in detectors}
+        r = max(len(f) for f in factors.values())
+        zero = np.zeros((r, len(distinct)))
+        out.append((weight, r, {det: np.concatenate([f, zero[len(f):]])[:, cols]
+                                for det, f in factors.items()}))
+    return out
 
 
-def _detector_rows(basis: SpanBasis, detectors, right: np.ndarray) -> dict:
-    """sqrt(Gamma) @ right in the span basis, for each detector."""
-    return {det: basis.detector_sqrt(det) @ right for det in detectors}
+def _fold_output(draws: list[tuple[float, int, dict]], slot_dets: tuple[DetectorModel, ...],
+                 u: np.ndarray, n_occ, m_occ, engine: str) -> ProbabilityResult:
+    """P = (1/(mu(n) mu(m))) sum_draws p sum_j w_j |per(U[n|m] . S_j)|^2 over
+    canonical tuples j, S_j[beta, alpha] = R_{l_alpha}[j_alpha, beta]: each
+    slot's basis sum gives sum_j conj(R[j, b]) R[j, c] = G_{l_alpha}[b, c].
+    Occupations are checked; stacks hold at most PERMANENT_STACK_ELEMENTS."""
+    n = len(slot_dets)
+    if n == 0:
+        return _finalize(1.0 + 0j, m_occ, engine)
+    usub = _usub(u, n_occ, m_occ)
+    cols = np.arange(n)[None, :]
+    step = max(1, PERMANENT_STACK_ELEMENTS // (n * n))
+    total, permanents = 0.0, 0
+    for weight, r, rows in draws:
+        if r == 0:  # no detector sees this draw
+            continue
+        tuples, weights = _output_tuples(r, m_occ)
+        rows = np.stack([rows[det] for det in slot_dets])
+        for start in range(0, len(tuples), step):
+            pers = _tuple_permanents(usub, rows, tuples[start:start + step], cols)[:, 0]
+            total += weight * (weights[start:start + step] @ (pers.real**2 + pers.imag**2))
+        permanents += len(tuples)
+    log.debug("%s engine: product-fold route, N=%d, %d draws, %d permanents",
+              engine, n, len(draws), permanents)
+    return _finalize(total / (mu(n_occ) * mu(m_occ)), m_occ, engine)
 
 
 def _permanent_setup(photons: Sequence[PureState | MixedState], n_occ,
                      detectors) -> list[tuple[float, int, dict]]:
-    """The output-independent part of the permanent engine: for each
-    mode-correlated draw its weight, the rank r of its span basis and, for
-    each detector, the (r, N) rows sqrt(Gamma) S with S the span
-    coordinates of the drawn states."""
+    """``_gram_draws`` over the permanent engine's mode-correlated draws."""
     if any(c > 1 for c in n_occ):
         raise UnsupportedInputError(
             "prob_permanent_basis needs a single photon or vacuum per input mode; "
@@ -277,26 +302,7 @@ def _permanent_setup(photons: Sequence[PureState | MixedState], n_occ,
     n = sum(n_occ)
     if len(photons) != n:
         raise ValidationError(f"need {n} photons, got {len(photons)}")
-    draws = []
-    for weight, states in _mode_correlated_draws(photons, n_occ) if n else ():
-        basis = SpanBasis(states)
-        draws.append((weight, basis.rank, _detector_rows(basis, detectors, basis.coords)))
-    return draws
-
-
-def _permanent_output(draws: list[tuple[float, int, dict]],
-                      slot_dets: tuple[DetectorModel, ...], u: np.ndarray,
-                      n_occ, m_occ) -> ProbabilityResult:
-    """P(m|n) of the permanent engine from its set-up, for checked occupations."""
-    if not slot_dets:
-        return _finalize(1.0 + 0j, m_occ, "permanent")
-    usub = _usub(u, n_occ, m_occ)
-    total = 0.0
-    for weight, rank, rows in draws:
-        tuples, weights = _output_tuples(rank, m_occ)
-        total += weight * _product_fold(usub, np.stack([rows[det] for det in slot_dets]),
-                                        tuples, weights, np.ones(1))
-    return _finalize(total / mu(m_occ), m_occ, "permanent")
+    return _gram_draws(_mode_correlated_draws(photons, n_occ) if n else (), detectors)
 
 
 def prob_permanent_basis(photons: Sequence[PureState | MixedState],
@@ -310,7 +316,7 @@ def prob_permanent_basis(photons: Sequence[PureState | MixedState],
     n_occ, m_occ, _ = _sizes(n_occ, m_occ, u.shape[0])
     slot_dets = _slot_detectors(detectors, m_occ, u.shape[0])
     draws = _permanent_setup(photons, n_occ, set(slot_dets))
-    return _permanent_output(draws, slot_dets, u, n_occ, m_occ)
+    return _fold_output(draws, slot_dets, u, n_occ, m_occ, "permanent")
 
 
 def _slot_detectors(detectors: Sequence[DetectorModel] | None, m_occ,
@@ -351,25 +357,21 @@ class GeneralEnsemble:
     """Spectral state of N photons as an ensemble of tensor coefficient
     arrays over the rank-r span basis.
 
-    ``factors``, when set, marks every component as a product
-    C_i = c_{i,1} x ... x c_{i,N}: factors[i] is an (r, N) matrix whose
-    column beta holds the span-basis coordinates c_{i,beta} of the state in
-    slot beta, and must agree with C_i. ``from_photons`` sets them; an
+    ``component_states``, when set, marks every component as a product
+    C_i = c_{i,1} x ... x c_{i,N}: component_states[i] holds the N states of
+    its slots, and must agree with C_i. ``from_photons`` sets them; an
     ensemble built by hand carries none and is evaluated as entangled."""
 
     basis: SpanBasis
     components: tuple[tuple[float, np.ndarray], ...]
-    factors: tuple[np.ndarray, ...] | None = None
+    component_states: tuple[tuple[PureState, ...], ...] | None = None
 
     def __post_init__(self):
-        if self.factors is not None:
-            shape = (self.basis.rank, self.n)
-            if (len(self.factors) != len(self.components)
-                    or any(np.shape(f) != shape for f in self.factors)):
-                raise ValidationError(
-                    f"need one {shape} factor matrix per component, got "
-                    f"{[np.shape(f) for f in self.factors]} for {len(self.components)}"
-                )
+        states = self.component_states
+        if states is not None and (len(states) != len(self.components)
+                                   or any(len(slots) != self.n for slots in states)):
+            raise ValidationError(f"need {self.n} slot states for each of the "
+                                  f"{len(self.components)} components")
 
     @property
     def n(self) -> int:
@@ -384,25 +386,18 @@ class GeneralEnsemble:
         draws)."""
         if n_occ is None:
             n_occ = (1,) * len(photons)
-        all_states: list[PureState] = []
-        for p in photons:
-            all_states.extend(s for _, s in pure_components(p))
+        all_states = [s for p in photons for _, s in pure_components(p)]
         basis = SpanBasis(all_states)
-        index_of: dict = {}
-        pos = 0
-        for p in photons:
-            for _, s in pure_components(p):
-                index_of.setdefault(s, pos)
-                pos += 1
-        comps, factors = [], []
+        index_of = {s: pos for pos, s in enumerate(all_states)}  # duplicates share coords
+        comps, component_states = [], []
         for weight, states in _mode_correlated_draws(photons, n_occ):
             factor = basis.coords[:, [index_of[s] for s in states]]
             tensor = factor[:, 0]
             for column in factor.T[1:]:
                 tensor = np.multiply.outer(tensor, column)
             comps.append((weight, np.asarray(tensor)))
-            factors.append(factor)
-        return GeneralEnsemble(basis, tuple(comps), tuple(factors))
+            component_states.append(tuple(states))
+        return GeneralEnsemble(basis, tuple(comps), tuple(component_states))
 
     def validate_symmetry(self, n_occ, tol: float = 1e-10) -> None:
         """The G-function symmetry: C invariant under permutations of tensor
@@ -418,19 +413,19 @@ class GeneralEnsemble:
 
 
 @dataclass(frozen=True)
-class _GeneralSetup:
-    """The output-independent part of the general engine. On the product
-    fold (``coeffs`` None) ``rows[det]`` is sqrt(Gamma) @ concat(factors),
-    (r, K N); on the tensor route it is sqrt(Gamma), (r, r), and ``coeffs``
-    holds the (K, r^N) component tensors."""
+class _TensorSetup:
+    """Set-up of the general engine's tensor route: ``rows[det]`` is
+    sqrt(Gamma) in the span basis, (r, r); ``coeffs`` holds the (K, r^N)
+    component tensors."""
 
-    rank: int
     rows: dict
     probs: np.ndarray
-    coeffs: np.ndarray | None
+    coeffs: np.ndarray
 
 
-def _general_setup(ensemble: GeneralEnsemble, n_occ, detectors) -> _GeneralSetup:
+def _general_setup(ensemble: GeneralEnsemble, n_occ, detectors):
+    """The product fold's draws if the ensemble has component states and
+    K <= r^N components, else a ``_TensorSetup``."""
     n = sum(n_occ)
     if ensemble.n != n:
         raise ValidationError(f"ensemble describes {ensemble.n} photons, instance has {n}")
@@ -439,39 +434,33 @@ def _general_setup(ensemble: GeneralEnsemble, n_occ, detectors) -> _GeneralSetup
         raise SizeLimitError(f"r^N = {r**n} exceeds the 1e6 cap")
     ensemble.validate_symmetry(n_occ)
     probs = np.array([w for w, _ in ensemble.components])
-    if ensemble.factors is not None and len(probs) <= r**n:
-        right = np.concatenate(ensemble.factors, axis=1)
-        return _GeneralSetup(r, _detector_rows(ensemble.basis, detectors, right), probs, None)
+    if ensemble.component_states is not None and len(probs) <= r**n:
+        return _gram_draws(zip(probs, ensemble.component_states), detectors)
     coeffs = np.stack([np.asarray(c, dtype=complex).reshape(-1) for _, c in ensemble.components])
     sqrt_ops = {det: ensemble.basis.detector_sqrt(det) for det in detectors}
-    return _GeneralSetup(r, sqrt_ops, probs, coeffs)
+    return _TensorSetup(sqrt_ops, probs, coeffs)
 
 
-def _general_output(setup: _GeneralSetup | None, slot_dets: tuple[DetectorModel, ...],
+def _general_output(setup, slot_dets: tuple[DetectorModel, ...],
                     u: np.ndarray, n_occ, m_occ) -> ProbabilityResult:
     """P(m|n) of the general engine from its set-up, for checked occupations
     (the set-up is None only for a vacuum input given no ensemble)."""
     n = len(slot_dets)
-    if n == 0:
-        return _finalize(1.0 + 0j, m_occ, "general")
+    if not isinstance(setup, _TensorSetup):
+        return _fold_output(setup or [], slot_dets, u, n_occ, m_occ, "general")
     usub = _usub(u, n_occ, m_occ)
     rows = np.stack([setup.rows[det] for det in slot_dets])
-    r, probs = setup.rank, setup.probs
+    r = rows.shape[1]
     tuples, weights = _output_tuples(r, m_occ)
-    if setup.coeffs is None:
-        route, per_tuple = "product-fold", len(probs)
-        total = _product_fold(usub, rows, tuples, weights, probs)
-    else:
-        route, per_tuple = "tensor", r**n
-        jp_tuples = np.indices((r,) * n).reshape(n, -1).T
-        step = max(1, PERMANENT_STACK_ELEMENTS // (r**n * n * n))
-        total = 0.0
-        for start in range(0, len(tuples), step):
-            pers = _tuple_permanents(usub, rows, tuples[start:start + step], jp_tuples)
-            amps = pers @ setup.coeffs.T  # (tuples, components)
-            total += weights[start:start + step] @ ((amps.real**2 + amps.imag**2) @ probs)
-    log.debug("prob_general: %s route, N=%d, r=%d, %d canonical tuples, %d permanents",
-              route, n, r, len(tuples), len(tuples) * per_tuple)
+    jp_tuples = np.indices((r,) * n).reshape(n, -1).T
+    step = max(1, PERMANENT_STACK_ELEMENTS // (r**n * n * n))
+    total = 0.0
+    for start in range(0, len(tuples), step):
+        pers = _tuple_permanents(usub, rows, tuples[start:start + step], jp_tuples)
+        amps = pers @ setup.coeffs.T  # (tuples, components)
+        total += weights[start:start + step] @ ((amps.real**2 + amps.imag**2) @ setup.probs)
+    log.debug("general engine: tensor route, N=%d, r=%d, %d canonical tuples, %d permanents",
+              n, r, len(tuples), len(tuples) * r**n)
     total /= mu(n_occ) * mu(m_occ)
     return _finalize(total, m_occ, "general")
 
@@ -482,13 +471,12 @@ def prob_general(ensemble: GeneralEnsemble, detectors: Sequence[DetectorModel] |
     P = (1/(mu mu)) sum_i p_i sum_j |sum_j' C_{j'} per(U[n|m] . B(j, j'))|^2
     with B(j, j')[beta, alpha] = <j_alpha| sqrt(Gamma_{l_alpha}) |j'_beta>.
 
-    The route follows from the ensemble. When it carries product factors and
-    has no more components K than r^N, each component folds into one
-    permanent per basis tuple (the permanent is linear in each row):
-    P = (1/(mu mu)) sum_i p_i sum_j |per(U[n|m] . S_{i,j})|^2 with
-    S_{i,j}[beta, alpha] = <j_alpha| sqrt(Gamma_{l_alpha}) |c_{i,beta}>, K
-    permanents per tuple. Otherwise (entangled tensors, or K > r^N) the r^N
-    permanents per tuple are shared by every component."""
+    The route follows from the ensemble. When it carries its component
+    states and has no more components K than r^N, each component is a draw
+    of the product fold of ``prob_permanent_basis`` (the permanent is linear
+    in each row): one permanent per basis tuple of its own Gram factors.
+    Otherwise (entangled tensors, or K > r^N) the r^N permanents per tuple
+    are shared by every component."""
     n_occ, m_occ, _ = _sizes(n_occ, m_occ, u.shape[0])
     slot_dets = _slot_detectors(detectors, m_occ, u.shape[0])
     setup = _general_setup(ensemble, n_occ, set(slot_dets))
@@ -645,8 +633,9 @@ def output_distribution(engine: str, u: np.ndarray, n_occ, *,
     (descending lexicographic) output order.
 
     The output-independent set-up of an engine is done once per sweep: the
-    span bases of ``permanent``, the ensemble checks and detector rows of
-    ``general``, and the Grams or mixed J builds of ``jmatrix``."""
+    Gram factors of each draw and detector for ``permanent`` and the product
+    fold of ``general``, the span basis of a ``from_photons`` ensemble and
+    its checks, and the Grams or mixed J builds of ``jmatrix``."""
     modes = u.shape[0]
     n_occ = check_occupation(n_occ, modes)
     n = sum(n_occ)
@@ -667,13 +656,15 @@ def output_distribution(engine: str, u: np.ndarray, n_occ, *,
         results, grams, builds = _jmatrix_sweep(photons, slot_dets, u, n_occ, outputs)
     elif engine == "permanent":
         draws = _permanent_setup(photons, n_occ, kinds)
-        bases = len(draws)
-        results = [_permanent_output(draws, dets, u, n_occ, m_occ)
+        grams = len(draws) * len(kinds)
+        results = [_fold_output(draws, dets, u, n_occ, m_occ, "permanent")
                    for m_occ, dets in zip(outputs, slot_dets)]
     elif engine == "general":
         if ensemble is None and n:
             ensemble, bases = GeneralEnsemble.from_photons(photons, n_occ), 1
         setup = None if ensemble is None else _general_setup(ensemble, n_occ, kinds)
+        if isinstance(setup, list):
+            grams = len(setup) * len(kinds)
         results = [_general_output(setup, dets, u, n_occ, m_occ)
                    for m_occ, dets in zip(outputs, slot_dets)]
     elif engine == "oracle":

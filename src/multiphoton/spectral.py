@@ -1,5 +1,5 @@
 """Single-photon spectral states, detector models, detector-weighted overlaps,
-Gram matrices, span orthonormalization, and mixed states.
+Gram matrices and their factors, span orthonormalization, and mixed states.
 
 Two state representations are supported and never mixed within one instance:
 
@@ -9,10 +9,10 @@ Two state representations are supported and never mixed within one instance:
 * finite-rank coefficient vectors over an abstract orthonormal internal
   basis, for which detectors are Hermitian operators on that basis.
 
-Everything downstream works in the restriction of the detector operator to
-the span of the input states: the detector enters only between two input
-states, so projecting it onto their span changes nothing while turning all
-integrals into small Hermitian matrix algebra.
+A detector enters only between two input states, so every integral becomes
+small Hermitian matrix algebra on detector-weighted Grams. The photon
+engines factor those Grams (``gram_factor``); ``SpanBasis``, which drops span
+directions below ``RANK_TOL``, serves only ensembles given as tensors.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .errors import (
 )
 
 RANK_TOL = 1e-10  # singular values below RANK_TOL * largest are dropped
+GRAM_TOL = 1e-15  # Gram eigenvalues up to GRAM_TOL * largest are dropped
 
 
 # -- states -------------------------------------------------------------------
@@ -240,6 +241,15 @@ def gram_matrix(states: Sequence[PureState], det: DetectorModel | None = None) -
             g[i, j] = val
             g[j, i] = np.conj(val)
     return g
+
+
+def gram_factor(gram: np.ndarray) -> np.ndarray:
+    """(r, n) factor R = sqrt(Lambda) V^dagger, R^dagger R = G, of a Hermitian
+    PSD Gram without its eigenvalues up to GRAM_TOL of the largest: the error
+    is linear in the dropped weight, and nothing is divided by sqrt(lambda)."""
+    w, v = np.linalg.eigh(gram)
+    keep = w > GRAM_TOL * max(w[-1], 0.0)
+    return np.sqrt(w[keep])[:, None] * v[:, keep].conj().T
 
 
 # -- span orthonormalization ------------------------------------------------------

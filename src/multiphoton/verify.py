@@ -19,15 +19,6 @@ from .probability import output_distribution
 from .spectral import IDEAL, DetectorModel, FiniteRankState, GaussianState, MixedState
 
 
-def _well_conditioned(states, floor: float = 1e-5) -> bool:
-    """Keep random spans away from numerical rank deficiency: restricted
-    operators in a nearly singular span are only determined to eps/lambda."""
-    from .spectral import gram_matrix
-
-    ev = np.linalg.eigvalsh(gram_matrix(states))
-    return bool(ev.min() > floor)
-
-
 def random_instance(rng: np.random.Generator, kind: str = "gaussian",
                     max_modes: int = 5, max_photons: int = 4):
     """One random engine-equivalence instance: Haar network, single photon
@@ -41,42 +32,30 @@ def random_instance(rng: np.random.Generator, kind: str = "gaussian",
     n_occ = tuple(1 if k in modes else 0 for k in range(m))
 
     if kind == "gaussian":
-        for _ in range(50):
-            photons = [
-                GaussianState(omega=float(rng.normal(0.0, 0.5)), delta=1.0,
-                              t=float(rng.normal(0.0, 0.8)),
-                              pol=int(rng.integers(0, 2)) if rng.random() < 0.3 else 0)
-                for _ in range(n)
-            ]
-            if _well_conditioned(photons):
-                break
+        photons = [
+            GaussianState(omega=float(rng.normal(0.0, 0.5)), delta=1.0,
+                          t=float(rng.normal(0.0, 0.8)),
+                          pol=int(rng.integers(0, 2)) if rng.random() < 0.3 else 0)
+            for _ in range(n)
+        ]
         det_kinds = ["ideal", "flat", "band"]
     elif kind == "finite":
-        for _ in range(50):
-            photons = []
-            for _ in range(n):
-                v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                photons.append(FiniteRankState(v / np.linalg.norm(v)))
-            if _well_conditioned(photons):
-                break
+        photons = []
+        for _ in range(n):
+            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            photons.append(FiniteRankState(v / np.linalg.norm(v)))
         det_kinds = ["ideal", "flat", "matrix"]
     elif kind == "mixed":
-        for _ in range(50):
-            photons = []
-            for _ in range(n):
-                k = int(rng.integers(2, 4))
-                w = rng.dirichlet(np.ones(k))
-                comps = [
-                    (float(wi), GaussianState(omega=0.0, delta=1.0,
-                                              t=float(rng.normal(0.0, 2.2))))
-                    for wi in w
-                ]
-                photons.append(MixedState(comps))
-            from .spectral import pure_components
-
-            all_states = [s for p in photons for _, s in pure_components(p)]
-            if _well_conditioned(all_states):
-                break
+        photons = []
+        for _ in range(n):
+            k = int(rng.integers(2, 4))
+            w = rng.dirichlet(np.ones(k))
+            comps = [
+                (float(wi), GaussianState(omega=0.0, delta=1.0,
+                                          t=float(rng.normal(0.0, 2.2))))
+                for wi in w
+            ]
+            photons.append(MixedState(comps))
         det_kinds = ["ideal", "flat", "band"]
     else:
         raise ValueError(kind)

@@ -24,6 +24,7 @@ from multiphoton.spectral import (
     FiniteRankState,
     GaussianState,
     MixedState,
+    gram_matrix,
 )
 from multiphoton.symgroup import enumerate_permutations, permutation_array, subgroup_members
 
@@ -318,6 +319,18 @@ def test_mandel_visibility_identical_pure():
     dets = (DetectorModel.flat(0.7), DetectorModel.gaussian_band(0.3, 2.0, 0.9))
     v = mandel_visibility(g, g, *dets)
     assert v == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("eps", [1e-5, 1e-6])
+def test_mandel_visibility_nearly_identical_pure_under_band_detectors(eps):
+    """Two photons eps apart under two band detectors: V is the ratio of Gram
+    entries, V = G1[1,0] G2[0,1] / sqrt(G1[0,0] G2[1,1] G2[0,0] G1[1,1])."""
+    a, b = GaussianState(0.0, 1.0, 0.0), GaussianState(0.0, 1.0, eps)
+    det1 = DetectorModel.gaussian_band(0.3, 1.2, 0.9)
+    det2 = DetectorModel.gaussian_band(-0.2, 0.9, 0.8)
+    g1, g2 = gram_matrix([a, b], det1), gram_matrix([a, b], det2)
+    want = g1[1, 0] * g2[0, 1] / math.sqrt((g1[0, 0] * g2[1, 1] * g2[0, 0] * g1[1, 1]).real)
+    assert abs(mandel_visibility(a, b, det1, det2) - want) <= 1e-14
 
 
 def test_mandel_visibility_delayed_gaussians():

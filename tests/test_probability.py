@@ -21,6 +21,7 @@ from multiphoton.jmatrix import (
     build_extreme,
     build_mixed,
     build_pure,
+    mandel_visibility,
     reduce_jmatrix,
 )
 from multiphoton.bosonsampling import BSParams, build_bs_jmatrix
@@ -329,26 +330,27 @@ FOLD_DETECTORS = {
 @pytest.mark.parametrize("case", ["single", "multi", "mixed", "identical"])
 def test_product_fold_matches_tensor_route(case, det_kind):
     """A from_photons ensemble gives the same probability on every output
-    with its product factors (one permanent per tuple and component) and
-    without them (r^N permanents per tuple); both match the oracle."""
+    with its component states (the product fold: one permanent per tuple and
+    component) and without them (r^N permanents per tuple); both match the
+    oracle."""
     n_occ, photons = _fold_case(case, finite=det_kind == "matrix")
     dets = FOLD_DETECTORS[det_kind]
     u = random_unitary(4, 404)
     ens = GeneralEnsemble.from_photons(photons, n_occ)
-    assert ens.factors is not None and len(ens.components) <= ens.basis.rank ** ens.n
-    tensor = replace(ens, factors=None)
+    assert ens.component_states is not None and len(ens.components) <= ens.basis.rank ** ens.n
+    tensor = replace(ens, component_states=None)
     for m_occ in enumerate_outputs(4, sum(n_occ)):
         p = prob_general(ens, dets, u, n_occ, m_occ).p
         assert abs(p - prob_general(tensor, dets, u, n_occ, m_occ).p) <= 1e-12
         assert p == pytest.approx(prob_oracle(photons, dets, u, n_occ, m_occ).p, abs=1e-10)
 
 
-def test_general_ensemble_rejects_misshapen_factors():
+def test_general_ensemble_rejects_misshapen_component_states():
     ens = GeneralEnsemble.from_photons(gaussians(0.0, 0.5, 1.0))
     with pytest.raises(ValidationError):
-        replace(ens, factors=ens.factors * 2)
+        replace(ens, component_states=ens.component_states * 2)
     with pytest.raises(ValidationError):
-        replace(ens, factors=(ens.factors[0][:, :2],))
+        replace(ens, component_states=(ens.component_states[0][:2],))
 
 
 # -- linearity, normalization, limits ----------------------------------------------
@@ -507,9 +509,9 @@ def test_general_route_names_itself_in_debug_log(caplog):
     with caplog.at_level("DEBUG", logger="multiphoton.probability"):
         results = [prob_general(ens, None, u, n_occ, m_occ).p for ens, m_occ in cases]
     assert [r.getMessage() for r in caplog.records] == [
-        "prob_general: product-fold route, N=2, r=2, 4 canonical tuples, 4 permanents",
-        "prob_general: tensor route, N=2, r=2, 4 canonical tuples, 16 permanents",
-        "prob_general: tensor route, N=2, r=2, 3 canonical tuples, 12 permanents",
+        "general engine: product-fold route, N=2, 1 draws, 4 permanents",
+        "general engine: tensor route, N=2, r=2, 4 canonical tuples, 16 permanents",
+        "general engine: tensor route, N=2, r=2, 3 canonical tuples, 12 permanents",
     ]
     for p, (ens, m_occ) in zip(results, cases):
         assert p == pytest.approx(prob_oracle(ens, None, u, n_occ, m_occ).p, abs=1e-12)
@@ -523,7 +525,7 @@ def test_mixed_build_above_dense_cap_refused_before_any_work(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("build_mixed did work before its size check")
 
-    for name in ("_check_slot_detectors", "_validate_block_states", "_operator_setup"):
+    for name in ("_check_slot_detectors", "_validate_block_states", "_photon_blocks"):
         monkeypatch.setattr(jmatrix, name, fail)
     rho = MixedState.gaussian_time_jitter(0.0, 1.0, 0.5, nodes=8)
     with pytest.raises(SizeLimitError, match="build_cycle_compressed"):
@@ -644,20 +646,49 @@ def test_every_builder_gives_a_hermitian_j():
             _full_tau_sum(jm, u, n_occ, m_occ), rel=1e-12, abs=1e-15)
 
 
-@pytest.mark.parametrize("eps", [1e-3, 1e-5])
-@pytest.mark.parametrize("n_occ", [(1, 1, 1, 0), (2, 1, 1, 1, 0, 0)])
-def test_tau_route_nearly_indistinguishable_matches_oracle(eps, n_occ):
-    """Photons in different input modes delayed by 0, eps and 2 eps (a
-    near-singular span) with a different band detector on every mode."""
-    m = len(n_occ)
-    u = random_unitary(m, 31)
-    photons = [GaussianState(0.0, 1.0, (k % 3) * eps) for k in mode_list(n_occ)]
-    dets = [DetectorModel.gaussian_band(center=0.2 * l - 0.3, width=1.0 + 0.4 * l, peak=0.9)
+def _band_per_mode(m):
+    return [DetectorModel.gaussian_band(center=0.2 * l - 0.3, width=1.0 + 0.4 * l, peak=0.9)
             for l in range(m)]
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-5])
+@pytest.mark.parametrize("n_occ, dets, seed", [
+    pytest.param((1, 1, 1, 0), _band_per_mode(4), 31, id="n_occ0"),
+    pytest.param((2, 1, 1, 1, 0, 0), _band_per_mode(6), 31, id="n_occ1"),
+    pytest.param((1, 1, 1, 0), [DetectorModel.gaussian_band(0.3, 1.2, 0.9), IDEAL, IDEAL, IDEAL],
+                 0, id="one-band"),
+])
+def test_tau_route_nearly_indistinguishable_matches_oracle(eps, n_occ, dets, seed):
+    """Photons in different input modes delayed by 0, eps and 2 eps (a
+    near-singular span) under band detectors: the jmatrix, general and
+    (for single occupancy) permanent engines agree with the oracle to 1e-12."""
+    m = len(n_occ)
+    u = random_unitary(m, seed)
+    photons = [GaussianState(0.0, 1.0, (k % 3) * eps) for k in mode_list(n_occ)]
+    ensemble = GeneralEnsemble.from_photons(photons, n_occ)
     outputs = enumerate_outputs(m, sum(n_occ))
     for m_occ in outputs[::max(1, len(outputs) // 15)]:
-        p = prob_jmatrix(build_j_for(photons, m_occ, dets, n_occ), u, n_occ, m_occ).p
-        assert p == pytest.approx(prob_oracle(photons, dets, u, n_occ, m_occ).p, abs=1e-9)
+        want = prob_oracle(photons, dets, u, n_occ, m_occ).p
+        got = [prob_jmatrix(build_j_for(photons, m_occ, dets, n_occ), u, n_occ, m_occ).p,
+               prob_general(ensemble, dets, u, n_occ, m_occ).p]
+        if max(n_occ) == 1:
+            got.append(prob_permanent_basis(photons, dets, u, n_occ, m_occ).p)
+        assert max(abs(p - want) for p in got) <= 1e-12
+
+
+def test_mixed_jitter_photons_under_band_detectors_match_oracle():
+    """Three 8-node jitter photons whose 24 components nearly share a span,
+    under a different band detector on every mode: the jmatrix, general and
+    permanent engines agree with the oracle to 1e-12 on every output."""
+    u = random_unitary(4, 2)
+    n_occ = (1, 1, 1, 0)
+    photons = [MixedState.gaussian_time_jitter(0.0, 1.0, 0.5, mean_time=t, nodes=8)
+               for t in (0.0, 0.6, 1.2)]
+    dets = FOLD_DETECTORS["band"]
+    want = output_distribution("oracle", u, n_occ, photons=photons, detectors=dets)
+    for engine in ("jmatrix", "general", "permanent"):
+        dist = output_distribution(engine, u, n_occ, photons=photons, detectors=dets)
+        assert max(abs(a.p - b.p) for a, b in zip(dist.results, want.results)) <= 1e-12
 
 
 @st.composite
@@ -711,8 +742,8 @@ def mixed_j_cases(draw):
     """Mixed photons on N <= 4 slots in M <= N + 1 modes, one photon state
     per input mode (a multiply-occupied mixed mode shares each draw), with
     per-mode detectors that may differ: mixed Gaussian photons of 2-3
-    components under ideal/flat/band detectors, or finite-rank mixed photons
-    under ideal/flat/matrix detectors."""
+    components, some nearly coincident, under ideal/flat/band detectors, or
+    finite-rank mixed photons under ideal/flat/matrix detectors."""
     n = draw(st.integers(1, 4))
     m = draw(st.integers(1, n + 1))
     slots = st.lists(st.integers(0, m - 1), min_size=n, max_size=n)
@@ -720,9 +751,9 @@ def mixed_j_cases(draw):
     if draw(st.booleans()):
         pure = st.sampled_from([-1.0, -0.3, 0.4, 1.0]).map(partial(_fold_state, finite=True))
         pool = (IDEAL, DetectorModel.flat(0.7), _matrix_detector(1), _matrix_detector(2))
-    else:  # well-separated components: a nearly singular span is truncated (CHANGES.md)
+    else:  # components 1e-6 and 1e-4 from t = 0 make a nearly singular span
         pure = st.builds(GaussianState, st.sampled_from([0.0, 0.8]), st.just(1.0),
-                         st.sampled_from([-1.0, 0.0, 1.0]))
+                         st.sampled_from([-1.0, 0.0, 1e-6, 1e-4, 1.0]))
         pool = MIXED_DETECTORS + (DetectorModel.gaussian_band(-0.4, 0.8),)
     by_mode = []
     for _ in range(m):
@@ -995,14 +1026,24 @@ def test_mixed_jmatrix_sweep_with_ideal_detectors_builds_one_j(setup_counts):
         assert abs(r.p - prob_jmatrix(jm, u, n_occ, r.m).p) <= 1e-15
 
 
-def test_permanent_sweep_builds_one_span_basis_per_draw(setup_counts):
+def test_permanent_sweep_factors_one_gram_per_draw_and_detector(setup_counts):
     u = random_unitary(4, 73)
     n_occ = (1, 1, 0, 1)
     photons = [jitter(0.0), jitter(0.5), GaussianState(0.0, 1.0, -0.4)]
     dist = output_distribution("permanent", u, n_occ, photons=photons, detectors=SWEEP_DETS)
-    assert setup_counts == {"SpanBasis": 3 * 3}  # one per draw of the two 3-node photons
+    # one Gram per draw of the two 3-node photons and distinct detector; no span basis
+    assert setup_counts == {"gram_matrix": 3 * 3 * len(set(SWEEP_DETS))}
     assert_sweep_matches_public_calls(
         dist, lambda m_occ: prob_permanent_basis(photons, SWEEP_DETS, u, n_occ, m_occ))
+
+
+def test_mixed_builds_and_mandel_build_no_span_basis(setup_counts):
+    """build_mixed and mandel_visibility trace per-photon blocks; neither
+    orthonormalises the joint span of the components."""
+    photons = [jitter(0.0), jitter(1e-6), jitter(0.7)]
+    build_mixed(photons, SWEEP_DETS[:3])
+    mandel_visibility(photons[0], photons[1], *SWEEP_DETS[:2])
+    assert "SpanBasis" not in setup_counts
 
 
 def test_general_sweep_builds_one_span_basis(setup_counts):
@@ -1011,7 +1052,8 @@ def test_general_sweep_builds_one_span_basis(setup_counts):
     rho = jitter(0.0, nodes=2)
     photons = [rho, rho, jitter(0.6, nodes=2), GaussianState(0.0, 1.0, -0.4)]
     dist = output_distribution("general", u, n_occ, photons=photons, detectors=SWEEP_DETS)
-    assert setup_counts == {"SpanBasis": 1}
+    # the ensemble's span basis, and one Gram per product component and distinct detector
+    assert setup_counts == {"SpanBasis": 1, "gram_matrix": 2 * 2 * len(set(SWEEP_DETS))}
     ensemble = GeneralEnsemble.from_photons(photons, n_occ)
     assert_sweep_matches_public_calls(
         dist, lambda m_occ: prob_general(ensemble, SWEEP_DETS, u, n_occ, m_occ))
@@ -1045,9 +1087,9 @@ def test_sweep_names_its_set_up_in_debug_log(caplog):
         f"{builds} J builds",
         "output_distribution: jmatrix engine, 10 outputs, set-up: 3 Grams, 0 span bases, "
         "0 J builds",
-        "output_distribution: permanent engine, 10 outputs, set-up: 0 Grams, 9 span bases, "
+        "output_distribution: permanent engine, 10 outputs, set-up: 9 Grams, 0 span bases, "
         "0 J builds",
-        "output_distribution: general engine, 10 outputs, set-up: 0 Grams, 1 span bases, "
+        "output_distribution: general engine, 10 outputs, set-up: 1 Grams, 1 span bases, "
         "0 J builds",
         "output_distribution: ideal engine, 10 outputs, set-up: 0 Grams, 0 span bases, "
         "0 J builds",
