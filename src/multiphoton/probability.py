@@ -12,10 +12,11 @@ differ in the route:
 * prob_permanent_basis: finite-basis sum of |per(U[n|m] . S(j))|^2 over basis
   tuples (single photon or vacuum per input mode);
 * prob_general: the general ensemble formula with tensor coefficients C and
-  permanents of Hadamard products U[n|m] . B(j, j'); an ensemble whose
-  components are products c_1 x ... x c_N (every from_photons ensemble) folds
-  each component into one permanent per basis tuple, since a permanent is
-  linear in each row;
+  permanents of Hadamard products U[n|m] . B(j, j') in the span basis, for
+  ensembles given only as tensors; an ensemble that carries its product
+  components c_1 x ... x c_N (every from_photons ensemble) folds each
+  component into one permanent per basis tuple, since a permanent is linear
+  in each row, and reads neither its span basis nor its tensors;
 * prob_classical: the Markov-chain form for maximally distinguishable photons;
 * prob_ideal_indistinguishable: |per(U[n|m])|^2 / (mu mu);
 * prob_oracle: direct expansion of both vacuum expectation values through the
@@ -24,7 +25,9 @@ differ in the route:
 
 The permanent engine and the product fold share one route: each draw of N
 pure slot states takes the rows of S(j) from factors R_l^dagger R_l = G_l of
-its Gamma_l-weighted Grams (Tichy, PRA 91, 022316, 2015).
+its Gamma_l-weighted Grams (Tichy, PRA 91, 022316, 2015). Photons given to
+the general engine's sweep take it directly, for any occupancy, without an
+ensemble.
 
 Multiplicity factors mu(n), mu(m) live here and nowhere else.
 """
@@ -72,6 +75,7 @@ IMAG_RESIDUAL_TOL = 1e-10
 ORACLE_MAX_N = 5
 JMATRIX_MAX_N = 8
 PERMANENT_STACK_ELEMENTS = 1 << 14  # bounds each permanent stack of permanent, general and jmatrix
+TENSOR_MAX_ENTRIES = 10**6  # r^N entries of each component tensor on the tensor route of general
 
 
 @dataclass(frozen=True)
@@ -237,72 +241,96 @@ def _output_tuples(r: int, m_occ) -> tuple[np.ndarray, np.ndarray]:
     return _canonical_tuples(r, tuple(int(c) for c in m_occ if c))
 
 
-def _tuple_permanents(usub: np.ndarray, rows: np.ndarray, tuples: np.ndarray,
-                      cols: np.ndarray) -> np.ndarray:
-    """per(U[n|m] . S) for every basis tuple j (a row of ``tuples``) and column
-    choice c (a row of ``cols``), where S[beta, alpha] = rows[alpha, j_alpha, c_beta]
-    and rows[alpha] is the row source of output slot alpha. Shape (T, C)."""
-    n = usub.shape[0]
-    stack = usub * rows[np.arange(n), tuples][:, :, cols].transpose(0, 2, 3, 1)
-    return permanent_ryser_batch(stack.reshape(-1, n, n)).reshape(len(tuples), len(cols))
+@dataclass(frozen=True)
+class _FoldSetup:
+    """Set-up of the product fold. ``kind[det]`` indexes the detector axis of
+    every group; each group holds the draws of one Gram-factor rank r as
+    their weights (D,) and the (r, N) slot columns of each detector's Gram
+    factor, (D, detectors, r, N), C-contiguous."""
+
+    kind: dict
+    groups: tuple[tuple[np.ndarray, np.ndarray], ...]
+    draws: int
 
 
-def _gram_draws(draws, detectors) -> list[tuple[float, int, dict]]:
-    """Set-up of the product fold: for each (weight, N slot states) draw its
-    weight, rank r and, per detector, the (r, N) slot columns of the
-    ``gram_factor`` of the Gram of its distinct states (duplicates add no
-    rank), zero-padded to r, the largest rank over the detectors."""
-    out = []
+def _gram_draws(draws, detectors) -> _FoldSetup:
+    """Factor every (weight, N slot states) draw: per detector, the (r, N)
+    slot columns of the ``gram_factor`` of the Gram of its distinct states
+    (duplicates add no rank), zero-padded to r, the largest rank over the
+    detectors. Draws that no detector sees (r = 0) are dropped."""
+    kind = {det: i for i, det in enumerate(detectors)}
+    by_rank: dict[int, tuple[list, list]] = {}
+    count = 0
     for weight, states in draws:
+        count += 1
         distinct = list(dict.fromkeys(states))
         cols = [distinct.index(s) for s in states]
-        factors = {det: gram_factor(gram_matrix(distinct, det)) for det in detectors}
-        r = max(len(f) for f in factors.values())
-        zero = np.zeros((r, len(distinct)))
-        out.append((weight, r, {det: np.concatenate([f, zero[len(f):]])[:, cols]
-                                for det, f in factors.items()}))
-    return out
+        factors = [gram_factor(gram_matrix(distinct, det)) for det in kind]
+        r = max(len(f) for f in factors)
+        padded = np.zeros((len(kind), r, len(states)), dtype=complex)
+        for f, out in zip(factors, padded):
+            out[:len(f)] = f[:, cols]
+        weights, rows = by_rank.setdefault(r, ([], []))
+        weights.append(weight)
+        rows.append(padded)
+    groups = tuple((np.array(weights), np.stack(rows))
+                   for r, (weights, rows) in by_rank.items() if r)
+    return _FoldSetup(kind, groups, count)
 
 
-def _fold_output(draws: list[tuple[float, int, dict]], slot_dets: tuple[DetectorModel, ...],
+def _fold_output(setup: _FoldSetup, slot_dets: tuple[DetectorModel, ...],
                  u: np.ndarray, n_occ, m_occ, engine: str) -> ProbabilityResult:
     """P = (1/(mu(n) mu(m))) sum_draws p sum_j w_j |per(U[n|m] . S_j)|^2 over
     canonical tuples j, S_j[beta, alpha] = R_{l_alpha}[j_alpha, beta]: each
     slot's basis sum gives sum_j conj(R[j, b]) R[j, c] = G_{l_alpha}[b, c].
-    Occupations are checked; stacks hold at most PERMANENT_STACK_ELEMENTS."""
+    The (draw, tuple) pairs of each rank form one axis, cut into stacks of
+    at most PERMANENT_STACK_ELEMENTS entries. Occupations are checked."""
     n = len(slot_dets)
     if n == 0:
         return _finalize(1.0 + 0j, m_occ, engine)
-    usub = _usub(u, n_occ, m_occ)
-    cols = np.arange(n)[None, :]
+    usub_t = _usub(u, n_occ, m_occ).T
+    dets = np.array([setup.kind[det] for det in slot_dets])
     step = max(1, PERMANENT_STACK_ELEMENTS // (n * n))
     total, permanents = 0.0, 0
-    for weight, r, rows in draws:
-        if r == 0:  # no detector sees this draw
-            continue
+    for probs, factors in setup.groups:
+        _, kinds, r, _ = factors.shape
         tuples, weights = _output_tuples(r, m_occ)
-        rows = np.stack([rows[det] for det in slot_dets])
-        for start in range(0, len(tuples), step):
-            pers = _tuple_permanents(usub, rows, tuples[start:start + step], cols)[:, 0]
-            total += weight * (weights[start:start + step] @ (pers.real**2 + pers.imag**2))
-        permanents += len(tuples)
+        flat = factors.reshape(-1, n)
+        size = len(probs) * len(tuples)
+        for start in range(0, size, step):
+            draw, j = np.divmod(np.arange(start, min(start + step, size)), len(tuples))
+            # rows R_{l_alpha}[j_alpha] of each draw: the transpose of U[n|m] . S_j,
+            # scaled in place (a second stack-sized array costs more than the gather)
+            stack = np.take(flat, (draw[:, None] * kinds + dets) * r + tuples[j], axis=0)
+            stack *= usub_t
+            pers = permanent_ryser_batch(stack)
+            total += (probs[draw] * weights[j]) @ (pers.real**2 + pers.imag**2)
+        permanents += size
     log.debug("%s engine: product-fold route, N=%d, %d draws, %d permanents",
-              engine, n, len(draws), permanents)
+              engine, n, setup.draws, permanents)
     return _finalize(total / (mu(n_occ) * mu(m_occ)), m_occ, engine)
 
 
+def _photon_setup(photons: Sequence[PureState | MixedState], n_occ,
+                  detectors) -> _FoldSetup:
+    """``_gram_draws`` over the mode-correlated draws of checked photons:
+    one per slot, and the same state on the slots of one input mode."""
+    n = sum(n_occ)
+    if len(photons) != n:
+        raise ValidationError(f"need {n} photons, got {len(photons)}")
+    _validate_block_states(photons, mode_list(n_occ))
+    return _gram_draws(_mode_correlated_draws(photons, n_occ) if n else (), detectors)
+
+
 def _permanent_setup(photons: Sequence[PureState | MixedState], n_occ,
-                     detectors) -> list[tuple[float, int, dict]]:
-    """``_gram_draws`` over the permanent engine's mode-correlated draws."""
+                     detectors) -> _FoldSetup:
+    """``_photon_setup`` for single-occupancy inputs only."""
     if any(c > 1 for c in n_occ):
         raise UnsupportedInputError(
             "prob_permanent_basis needs a single photon or vacuum per input mode; "
             "use prob_jmatrix or prob_general for multi-occupancy inputs"
         )
-    n = sum(n_occ)
-    if len(photons) != n:
-        raise ValidationError(f"need {n} photons, got {len(photons)}")
-    return _gram_draws(_mode_correlated_draws(photons, n_occ) if n else (), detectors)
+    return _photon_setup(photons, n_occ, detectors)
 
 
 def prob_permanent_basis(photons: Sequence[PureState | MixedState],
@@ -383,7 +411,13 @@ class GeneralEnsemble:
         """Product-form ensemble: every mode-correlated ensemble draw
         contributes C = c_1 x ... x c_N with weight prod p. Without an
         occupation vector every photon occupies its own mode (independent
-        draws)."""
+        draws).
+
+        It materialises the span basis of all components and K tensors of
+        r^N entries: 4096 tensors of 15^4 entries (3.3 GB) for four 8-node
+        jitter photons. ``prob_general`` reads only ``component_states``
+        of it, and ``output_distribution("general", photons=...)`` builds
+        none."""
         if n_occ is None:
             n_occ = (1,) * len(photons)
         all_states = [s for p in photons for _, s in pure_components(p)]
@@ -423,31 +457,32 @@ class _TensorSetup:
     coeffs: np.ndarray
 
 
-def _general_setup(ensemble: GeneralEnsemble, n_occ, detectors):
-    """The product fold's draws if the ensemble has component states and
-    K <= r^N components, else a ``_TensorSetup``."""
+def _general_setup(ensemble: GeneralEnsemble, n_occ, detectors) -> _FoldSetup | _TensorSetup:
+    """The product fold's draws if the ensemble carries component states,
+    else a ``_TensorSetup`` (capped at r^N <= TENSOR_MAX_ENTRIES). Each route
+    checks the input-mode symmetry of what it reads: the component states,
+    or the tensors."""
     n = sum(n_occ)
     if ensemble.n != n:
         raise ValidationError(f"ensemble describes {ensemble.n} photons, instance has {n}")
-    r = ensemble.basis.rank
-    if r**n > 10**6:
-        raise SizeLimitError(f"r^N = {r**n} exceeds the 1e6 cap")
-    ensemble.validate_symmetry(n_occ)
     probs = np.array([w for w, _ in ensemble.components])
-    if ensemble.component_states is not None and len(probs) <= r**n:
+    if ensemble.component_states is not None:
+        for states in ensemble.component_states:
+            _validate_block_states(states, mode_list(n_occ))
         return _gram_draws(zip(probs, ensemble.component_states), detectors)
+    r = ensemble.basis.rank
+    if r**n > TENSOR_MAX_ENTRIES:
+        raise SizeLimitError(f"r^N = {r**n} exceeds TENSOR_MAX_ENTRIES = {TENSOR_MAX_ENTRIES}")
+    ensemble.validate_symmetry(n_occ)
     coeffs = np.stack([np.asarray(c, dtype=complex).reshape(-1) for _, c in ensemble.components])
     sqrt_ops = {det: ensemble.basis.detector_sqrt(det) for det in detectors}
     return _TensorSetup(sqrt_ops, probs, coeffs)
 
 
-def _general_output(setup, slot_dets: tuple[DetectorModel, ...],
-                    u: np.ndarray, n_occ, m_occ) -> ProbabilityResult:
-    """P(m|n) of the general engine from its set-up, for checked occupations
-    (the set-up is None only for a vacuum input given no ensemble)."""
+def _tensor_output(setup: _TensorSetup, slot_dets: tuple[DetectorModel, ...],
+                   u: np.ndarray, n_occ, m_occ) -> ProbabilityResult:
+    """P(m|n) on the tensor route of the general engine, for checked occupations."""
     n = len(slot_dets)
-    if not isinstance(setup, _TensorSetup):
-        return _fold_output(setup or [], slot_dets, u, n_occ, m_occ, "general")
     usub = _usub(u, n_occ, m_occ)
     rows = np.stack([setup.rows[det] for det in slot_dets])
     r = rows.shape[1]
@@ -456,8 +491,10 @@ def _general_output(setup, slot_dets: tuple[DetectorModel, ...],
     step = max(1, PERMANENT_STACK_ELEMENTS // (r**n * n * n))
     total = 0.0
     for start in range(0, len(tuples), step):
-        pers = _tuple_permanents(usub, rows, tuples[start:start + step], jp_tuples)
-        amps = pers @ setup.coeffs.T  # (tuples, components)
+        # B(j, j')[beta, alpha] = rows[alpha, j_alpha, j'_beta], one stack per j
+        part = rows[np.arange(n), tuples[start:start + step]][:, :, jp_tuples]
+        pers = permanent_ryser_batch((usub * part.transpose(0, 2, 3, 1)).reshape(-1, n, n))
+        amps = pers.reshape(-1, r**n) @ setup.coeffs.T  # (tuples, components)
         total += weights[start:start + step] @ ((amps.real**2 + amps.imag**2) @ setup.probs)
     log.debug("general engine: tensor route, N=%d, r=%d, %d canonical tuples, %d permanents",
               n, r, len(tuples), len(tuples) * r**n)
@@ -472,15 +509,18 @@ def prob_general(ensemble: GeneralEnsemble, detectors: Sequence[DetectorModel] |
     with B(j, j')[beta, alpha] = <j_alpha| sqrt(Gamma_{l_alpha}) |j'_beta>.
 
     The route follows from the ensemble. When it carries its component
-    states and has no more components K than r^N, each component is a draw
-    of the product fold of ``prob_permanent_basis`` (the permanent is linear
-    in each row): one permanent per basis tuple of its own Gram factors.
-    Otherwise (entangled tensors, or K > r^N) the r^N permanents per tuple
-    are shared by every component."""
+    states (every ``from_photons`` ensemble), each component is a draw of
+    the product fold of ``prob_permanent_basis`` (the permanent is linear in
+    each row): one permanent per basis tuple of its own Gram factors, exact
+    whatever the number of components K, and the span basis and tensors go
+    unread. Otherwise (entangled tensors) the r^N permanents per tuple in
+    the span basis are shared by every component."""
     n_occ, m_occ, _ = _sizes(n_occ, m_occ, u.shape[0])
     slot_dets = _slot_detectors(detectors, m_occ, u.shape[0])
     setup = _general_setup(ensemble, n_occ, set(slot_dets))
-    return _general_output(setup, slot_dets, u, n_occ, m_occ)
+    if isinstance(setup, _FoldSetup):
+        return _fold_output(setup, slot_dets, u, n_occ, m_occ, "general")
+    return _tensor_output(setup, slot_dets, u, n_occ, m_occ)
 
 
 # -- closed-form engines ----------------------------------------------------------
@@ -633,9 +673,12 @@ def output_distribution(engine: str, u: np.ndarray, n_occ, *,
     (descending lexicographic) output order.
 
     The output-independent set-up of an engine is done once per sweep: the
-    Gram factors of each draw and detector for ``permanent`` and the product
-    fold of ``general``, the span basis of a ``from_photons`` ensemble and
-    its checks, and the Grams or mixed J builds of ``jmatrix``."""
+    Gram factors of each draw and detector for ``permanent`` and ``general``
+    (the draws of the photons, whose slots in one input mode must carry the
+    same state, or the components of an ensemble with component states), the
+    span-basis operators and checks of a tensor-only ``general`` ensemble,
+    and the Grams or mixed J builds of ``jmatrix``. Given both photons and an
+    ensemble, ``general`` reads the ensemble."""
     modes = u.shape[0]
     n_occ = check_occupation(n_occ, modes)
     n = sum(n_occ)
@@ -648,25 +691,26 @@ def output_distribution(engine: str, u: np.ndarray, n_occ, *,
     if photons is not None and len(photons) != n:
         raise ValidationError(f"photon list length {len(photons)} != |n| = {n}")
     outputs = enumerate_outputs(modes, n)
-    grams = bases = builds = 0
+    grams = builds = 0
     if engine in ("jmatrix", "permanent", "general"):
         slot_dets = [_slot_detectors(detectors, m_occ, modes) for m_occ in outputs]
         kinds = set().union(*slot_dets)
     if engine == "jmatrix":
         results, grams, builds = _jmatrix_sweep(photons, slot_dets, u, n_occ, outputs)
-    elif engine == "permanent":
-        draws = _permanent_setup(photons, n_occ, kinds)
-        grams = len(draws) * len(kinds)
-        results = [_fold_output(draws, dets, u, n_occ, m_occ, "permanent")
-                   for m_occ, dets in zip(outputs, slot_dets)]
-    elif engine == "general":
-        if ensemble is None and n:
-            ensemble, bases = GeneralEnsemble.from_photons(photons, n_occ), 1
-        setup = None if ensemble is None else _general_setup(ensemble, n_occ, kinds)
-        if isinstance(setup, list):
-            grams = len(setup) * len(kinds)
-        results = [_general_output(setup, dets, u, n_occ, m_occ)
-                   for m_occ, dets in zip(outputs, slot_dets)]
+    elif engine in ("permanent", "general"):
+        if engine == "permanent":
+            setup = _permanent_setup(photons, n_occ, kinds)
+        elif ensemble is None:
+            setup = _photon_setup(photons, n_occ, kinds)
+        else:
+            setup = _general_setup(ensemble, n_occ, kinds)
+        if isinstance(setup, _FoldSetup):
+            grams = setup.draws * len(kinds)
+            results = [_fold_output(setup, dets, u, n_occ, m_occ, engine)
+                       for m_occ, dets in zip(outputs, slot_dets)]
+        else:
+            results = [_tensor_output(setup, dets, u, n_occ, m_occ)
+                       for m_occ, dets in zip(outputs, slot_dets)]
     elif engine == "oracle":
         src = ensemble if ensemble is not None else photons
         results = [prob_oracle(src, detectors, u, n_occ, m_occ) for m_occ in outputs]
@@ -674,8 +718,8 @@ def output_distribution(engine: str, u: np.ndarray, n_occ, *,
         results = [prob_classical(u, n_occ, m_occ) for m_occ in outputs]
     else:
         results = [prob_ideal_indistinguishable(u, n_occ, m_occ) for m_occ in outputs]
-    log.debug("output_distribution: %s engine, %d outputs, set-up: %d Grams, "
-              "%d span bases, %d J builds", engine, len(outputs), grams, bases, builds)
+    log.debug("output_distribution: %s engine, %d outputs, set-up: %d Grams, %d J builds",
+              engine, len(outputs), grams, builds)
     return DistributionResult(input=n_occ, engine=engine, results=results)
 
 

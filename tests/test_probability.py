@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from functools import partial
@@ -494,8 +495,8 @@ def test_tau_route_names_itself_in_debug_log(caplog):
 
 
 def test_general_route_names_itself_in_debug_log(caplog):
-    """A product ensemble takes the fold; an entangled hand-built tensor and a
-    product ensemble with more components than r^N take the tensor route."""
+    """A product ensemble takes the fold, also with more components than r^N;
+    an entangled hand-built tensor takes the tensor route."""
     u = random_unitary(3, 22)
     n_occ = (1, 1, 0)
     product = GeneralEnsemble.from_photons(gaussians(0.0, 0.5))
@@ -511,7 +512,7 @@ def test_general_route_names_itself_in_debug_log(caplog):
     assert [r.getMessage() for r in caplog.records] == [
         "general engine: product-fold route, N=2, 1 draws, 4 permanents",
         "general engine: tensor route, N=2, r=2, 4 canonical tuples, 16 permanents",
-        "general engine: tensor route, N=2, r=2, 3 canonical tuples, 12 permanents",
+        "general engine: product-fold route, N=2, 9 draws, 27 permanents",
     ]
     for p, (ens, m_occ) in zip(results, cases):
         assert p == pytest.approx(prob_oracle(ens, None, u, n_occ, m_occ).p, abs=1e-12)
@@ -676,10 +677,13 @@ def test_tau_route_nearly_indistinguishable_matches_oracle(eps, n_occ, dets, see
         assert max(abs(p - want) for p in got) <= 1e-12
 
 
-def test_mixed_jitter_photons_under_band_detectors_match_oracle():
+def test_mixed_jitter_photons_under_band_detectors_match_oracle(setup_counts):
     """Three 8-node jitter photons whose 24 components nearly share a span,
     under a different band detector on every mode: the jmatrix, general and
-    permanent engines agree with the oracle to 1e-12 on every output."""
+    permanent engines agree with the oracle to 1e-12 on every output. No
+    engine builds a span basis; a from_photons ensemble would hold 512
+    tensors of 14^3 entries (22 MiB), and the general sweep's traced peak
+    stays under 5 MiB."""
     u = random_unitary(4, 2)
     n_occ = (1, 1, 1, 0)
     photons = [MixedState.gaussian_time_jitter(0.0, 1.0, 0.5, mean_time=t, nodes=8)
@@ -689,6 +693,34 @@ def test_mixed_jitter_photons_under_band_detectors_match_oracle():
     for engine in ("jmatrix", "general", "permanent"):
         dist = output_distribution(engine, u, n_occ, photons=photons, detectors=dets)
         assert max(abs(a.p - b.p) for a, b in zip(dist.results, want.results)) <= 1e-12
+    assert "SpanBasis" not in setup_counts
+    tracemalloc.start()
+    try:
+        output_distribution("general", u, n_occ, photons=photons, detectors=dets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+
+
+def test_general_folds_product_ensemble_with_more_components_than_span_tensors():
+    """Two photons of three packets 3e-5 apart span rank 2 (at RANK_TOL), so
+    their K = 9 product components outnumber the r^N = 4 tensor entries.
+    The general engine folds them over exact Gram factors, from photons and
+    from the from_photons ensemble alike, and matches the oracle to 1e-12."""
+    photons = [MixedState.ensemble([(1 / 3, GaussianState(0.0, 1.0, t + dt))
+                                    for dt in (0.0, 3e-5, 6e-5)]) for t in (0.0, 0.5)]
+    dets = (DetectorModel.gaussian_band(0.3, 1.2, 0.9), IDEAL,
+            DetectorModel.gaussian_band(-0.2, 0.9, 0.8))
+    u = random_unitary(3, 5)
+    n_occ = (1, 1, 0)
+    ensemble = GeneralEnsemble.from_photons(photons, n_occ)
+    assert len(ensemble.components) > ensemble.basis.rank ** 2
+    dist = output_distribution("general", u, n_occ, photons=photons, detectors=dets)
+    for r in dist.results:
+        want = prob_oracle(photons, dets, u, n_occ, r.m).p
+        assert abs(r.p - want) <= 1e-12
+        assert abs(prob_general(ensemble, dets, u, n_occ, r.m).p - want) <= 1e-12
 
 
 @st.composite
@@ -738,12 +770,13 @@ def test_tau_route_property_matches_dense_quadratic_form(case):
 
 
 @st.composite
-def mixed_j_cases(draw):
+def mixed_j_cases(draw, components=2):
     """Mixed photons on N <= 4 slots in M <= N + 1 modes, one photon state
     per input mode (a multiply-occupied mixed mode shares each draw), with
-    per-mode detectors that may differ: mixed Gaussian photons of 2-3
-    components, some nearly coincident, under ideal/flat/band detectors, or
-    finite-rank mixed photons under ideal/flat/matrix detectors."""
+    per-mode detectors that may differ: mixed Gaussian photons of
+    ``components`` to 3 components, some nearly coincident, under
+    ideal/flat/band detectors, or finite-rank mixed photons under
+    ideal/flat/matrix detectors."""
     n = draw(st.integers(1, 4))
     m = draw(st.integers(1, n + 1))
     slots = st.lists(st.integers(0, m - 1), min_size=n, max_size=n)
@@ -757,7 +790,8 @@ def mixed_j_cases(draw):
         pool = MIXED_DETECTORS + (DetectorModel.gaussian_band(-0.4, 0.8),)
     by_mode = []
     for _ in range(m):
-        weights = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=2, max_size=3)))
+        weights = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=components,
+                                         max_size=3)))
         by_mode.append(MixedState.ensemble(
             [(w, draw(pure)) for w in weights / weights.sum()]))
     dets = draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m))
@@ -777,6 +811,20 @@ def test_mixed_build_property_matches_oracle(case):
         jm = build_mixed(photons, tuple(dets[l] for l in ls), output_modes=ls, input_modes=ks)
         p = prob_jmatrix(jm, u, n_occ, m_occ).p
         assert abs(p - prob_oracle(photons, dets, u, n_occ, m_occ).p) <= 1e-10
+
+
+@given(mixed_j_cases(components=1))
+@settings(deadline=None, max_examples=100)
+def test_product_fold_property_matches_oracle(case):
+    """The general sweep (and the permanent sweep on single-occupancy
+    inputs) of photons with one to three components gives the oracle's
+    probability on every output."""
+    photons, dets, u, n_occ = case
+    want = output_distribution("oracle", u, n_occ, photons=photons, detectors=dets)
+    engines = ("general", "permanent") if max(n_occ) == 1 else ("general",)
+    for engine in engines:
+        dist = output_distribution(engine, u, n_occ, photons=photons, detectors=dets)
+        assert max(abs(a.p - b.p) for a, b in zip(dist.results, want.results)) <= 1e-12
 
 
 def test_cycle_j_with_lossy_detector_matches_mixed_build_on_every_output():
@@ -919,6 +967,12 @@ def test_photon_count_validation():
         output_distribution("jmatrix", u, (1, 1), photons=[g])
 
 
+@pytest.mark.parametrize("engine", ["jmatrix", "general"])
+def test_sweeps_refuse_different_photons_in_one_input_mode(engine):
+    with pytest.raises(ValidationError, match="share input mode 0"):
+        output_distribution(engine, fourier(2), (2, 0), photons=gaussians(0.0, 0.5))
+
+
 def test_distribution_dict_shape():
     u = fourier(2)
     g = GaussianState(0.0, 1.0, 0.0)
@@ -1046,14 +1100,14 @@ def test_mixed_builds_and_mandel_build_no_span_basis(setup_counts):
     assert "SpanBasis" not in setup_counts
 
 
-def test_general_sweep_builds_one_span_basis(setup_counts):
+def test_general_sweep_builds_no_span_basis(setup_counts):
     u = random_unitary(4, 74)
     n_occ = (2, 1, 0, 1)
     rho = jitter(0.0, nodes=2)
     photons = [rho, rho, jitter(0.6, nodes=2), GaussianState(0.0, 1.0, -0.4)]
     dist = output_distribution("general", u, n_occ, photons=photons, detectors=SWEEP_DETS)
-    # the ensemble's span basis, and one Gram per product component and distinct detector
-    assert setup_counts == {"SpanBasis": 1, "gram_matrix": 2 * 2 * len(set(SWEEP_DETS))}
+    # one Gram per mode-correlated draw and distinct detector, and no ensemble
+    assert setup_counts == {"gram_matrix": 2 * 2 * len(set(SWEEP_DETS))}
     ensemble = GeneralEnsemble.from_photons(photons, n_occ)
     assert_sweep_matches_public_calls(
         dist, lambda m_occ: prob_general(ensemble, SWEEP_DETS, u, n_occ, m_occ))
@@ -1083,14 +1137,9 @@ def test_sweep_names_its_set_up_in_debug_log(caplog):
     builds = len(distinct_slot_detectors(SWEEP_DETS, 2))
     assert [r.getMessage() for r in caplog.records
             if r.getMessage().startswith("output_distribution")] == [
-        f"output_distribution: jmatrix engine, 10 outputs, set-up: 0 Grams, 0 span bases, "
-        f"{builds} J builds",
-        "output_distribution: jmatrix engine, 10 outputs, set-up: 3 Grams, 0 span bases, "
-        "0 J builds",
-        "output_distribution: permanent engine, 10 outputs, set-up: 9 Grams, 0 span bases, "
-        "0 J builds",
-        "output_distribution: general engine, 10 outputs, set-up: 1 Grams, 1 span bases, "
-        "0 J builds",
-        "output_distribution: ideal engine, 10 outputs, set-up: 0 Grams, 0 span bases, "
-        "0 J builds",
+        f"output_distribution: jmatrix engine, 10 outputs, set-up: 0 Grams, {builds} J builds",
+        "output_distribution: jmatrix engine, 10 outputs, set-up: 3 Grams, 0 J builds",
+        "output_distribution: permanent engine, 10 outputs, set-up: 9 Grams, 0 J builds",
+        "output_distribution: general engine, 10 outputs, set-up: 1 Grams, 0 J builds",
+        "output_distribution: ideal engine, 10 outputs, set-up: 0 Grams, 0 J builds",
     ]

@@ -6,7 +6,7 @@ import pytest
 
 from multiphoton.jmatrix import DENSE_CAP
 from multiphoton.permanent import MAX_NAIVE_N, MAX_RYSER_N
-from multiphoton.probability import JMATRIX_MAX_N, ORACLE_MAX_N
+from multiphoton.probability import JMATRIX_MAX_N, ORACLE_MAX_N, TENSOR_MAX_ENTRIES
 from multiphoton.symgroup import MAX_ENUM_N
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -26,6 +26,7 @@ def caps_section() -> str:
     ("ORACLE_MAX_N", ORACLE_MAX_N),
     ("MAX_NAIVE_N", MAX_NAIVE_N),
     ("MAX_RYSER_N", MAX_RYSER_N),
+    ("TENSOR_MAX_ENTRIES", TENSOR_MAX_ENTRIES),
 ])
 def test_readme_caps_name_current_values(name, value):
     assert f"`{name}` = {value}" in caps_section()
