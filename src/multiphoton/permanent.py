@@ -9,14 +9,29 @@ Glynn's formula (Eur. J. Combin. 31, 1887, 2010)
     per(A) = 2^-(n-1) sum_delta (prod_j delta_j) prod_i sum_j delta_j A[i, j]
 
 runs over the 2^(n-1) sign vectors delta in {+1, -1}^n with delta_0 = +1.
-One kernel, ``_glynn``, evaluates it for a whole (B, n, n) stack: the 2^lo
-sign vectors of the ``lo`` columns after column 0 are formed at once, and a
-Gray code over the remaining high columns adds or subtracts a precomputed
-2 x column per step.  The working arrays are laid out (row, subset, batch), so
-each step's row products multiply contiguous (subset, batch) planes.  ``lo``
-and the batch chunk are chosen from n and B so that the signed row sums hold
-at most ``RYSER_TEMP_ELEMENTS`` numbers; the doubled columns of a chunk are
-at most n - 1 times that, and no Gray step allocates.
+One Gray-code core, ``_glynn``, evaluates it for many matrices in chunks: the
+2^lo sign vectors of the ``lo`` columns after column 0 are formed at once,
+and a Gray code over the remaining high columns adds or subtracts a doubled
+column per step.  The working arrays are laid out (row, subset, batch), so
+each step's row products multiply contiguous (subset, batch) planes, and
+they are allocated once per call and reused for every chunk.  A chunk holds
+at most ``RYSER_TEMP_ELEMENTS // n^2`` matrices and ``lo`` is chosen so that
+the signed row sums hold at most ``RYSER_TEMP_ELEMENTS`` numbers; so do the
+doubled columns, and the two (subset, batch) products hold 1/n of that each.
+The working arrays thus hold at most (2 + 2/n) ``RYSER_TEMP_ELEMENTS``
+numbers besides the result, and no step creates an array of its own; NumPy
+adds transients: an iteration buffer (at most 8192 numbers) for each
+broadcast column update, and a copy of the input in the low-column loop,
+whose output overlaps it.
+
+Two feeders fill a chunk's doubled columns and row sums:
+
+* ``permanent_ryser`` and ``permanent_ryser_batch`` read them from a (B, n, n)
+  stack that the caller holds; the kernel adds the working arrays and the
+  (B,) result to it;
+* ``permanent_gather_batch`` gathers them from an (n, n, n) array W for the
+  matrices A_p = W[rows, tau_p] of a (P, n) table of permutation images; the
+  P matrices never exist, and W adds n^3 numbers to the same bound.
 
 The arithmetic follows the dtype of the input: a real stack (bool, integer or
 float) runs in float64, anything else in complex128.  The public results are
@@ -76,47 +91,64 @@ def _weights(lo: int, n: int) -> np.ndarray:
     return weights
 
 
-def _glynn(stack: np.ndarray) -> np.ndarray:
-    """Glynn permanents of a validated (B, n, n) stack, in its own dtype."""
-    b, n, _ = stack.shape
+def _glynn(n: int, count: int, dtype, form) -> np.ndarray:
+    """Glynn permanents of ``count`` n x n matrices in ``dtype``, chunk by
+    chunk. ``form(start, size, steps, first)`` fills the chunk of matrices
+    start .. start + size - 1: ``steps`` (row, column, batch) with 2 x every
+    column after column 0, ``first`` (row, batch) with the row sums. Both are
+    views, with contiguous rows, of working arrays allocated once per call."""
     if n > MAX_RYSER_N:
         raise SizeLimitError(f"permanents capped at n <= {MAX_RYSER_N}, got {n}")
     if n == 0:
-        return np.ones(b, dtype=stack.dtype)
-    lo = min(n - 1, max(0, (RYSER_TEMP_ELEMENTS // (n * max(b, 1))).bit_length() - 1))
-    chunk = max(1, RYSER_TEMP_ELEMENTS // (n << lo))
+        return np.ones(count, dtype=dtype)
+    chunk = max(1, min(count, RYSER_TEMP_ELEMENTS // (n * n)))
+    lo = min(n - 1, (RYSER_TEMP_ELEMENTS // (n * chunk)).bit_length() - 1)
     weights = _weights(lo, n)
-    out = np.empty(b, dtype=stack.dtype)
-    for start in range(0, b, chunk):
-        part = stack[start:start + chunk].transpose(2, 1, 0)  # (column, row, batch) view
-        # 2 x every column after column 0, contiguous: the change of one sign flip
-        steps = np.multiply(part[1:], 2, order="C")
+    step_buf = np.empty(n * (n - 1) * chunk, dtype=dtype)
+    sum_buf = np.empty((n * chunk) << lo, dtype=dtype)
+    acc_buf = np.empty(chunk << lo, dtype=dtype)
+    prod_buf = np.empty_like(acc_buf)
+    out = np.empty(count, dtype=dtype)
+    for start in range(0, count, chunk):
+        size = min(chunk, count - start)
+        steps = step_buf[:n * (n - 1) * size].reshape(n, n - 1, size)
         # signed row sums, (row, subset, batch): subset 0 has every sign +1, and
         # subset i of the low columns flips column j + 1 iff bit j of i
-        sums = np.empty((n, 1 << lo, part.shape[2]), dtype=stack.dtype)
-        first = sums[:, 0]
-        np.sum(steps, axis=0, out=first)
-        first *= 0.5  # exact: halves the doubled sum
-        first += part[0]
+        sums = sum_buf[:(n * size) << lo].reshape(n, 1 << lo, size)
+        form(start, size, steps, sums[:, 0])
         for j in range(lo):
-            np.subtract(sums[:, :1 << j], steps[j, :, None], out=sums[:, 1 << j:2 << j])
-        acc = np.empty(sums.shape[1:], dtype=stack.dtype)
-        prods = np.empty_like(acc)
+            np.subtract(sums[:, :1 << j], steps[:, j, None], out=sums[:, 1 << j:2 << j])
+        acc = acc_buf[:size << lo].reshape(1 << lo, size)
+        prods = prod_buf[:size << lo].reshape(1 << lo, size)
         for k in range(1 << (n - 1 - lo)):
             if k:  # Gray step k flips column lo + 1 + c, c the lowest set bit of k
                 c = (k & -k).bit_length() - 1
                 if (k ^ (k >> 1)) >> c & 1:
-                    sums -= steps[lo + c, :, None]
+                    sums -= steps[:, lo + c, None]
                 else:
-                    sums += steps[lo + c, :, None]
+                    sums += steps[:, lo + c, None]
             if not k:
                 np.prod(sums, axis=0, out=acc)
             elif k & 1:
                 acc -= np.prod(sums, axis=0, out=prods)
             else:
                 acc += np.prod(sums, axis=0, out=prods)
-        out[start:start + chunk] = weights @ acc
+        np.matmul(weights, acc, out=out[start:start + size])
     return out
+
+
+def _glynn_stack(stack: np.ndarray) -> np.ndarray:
+    """Glynn permanents of a validated (B, n, n) stack, in its own dtype."""
+    b, n, _ = stack.shape
+
+    def form(start, size, steps, first):
+        part = stack[start:start + size].transpose(1, 2, 0)  # (row, column, batch) view
+        np.multiply(part[:, 1:], 2, out=steps)
+        np.sum(steps, axis=1, out=first)
+        first *= 0.5  # exact: halves the doubled sum
+        first += part[:, 0]
+
+    return _glynn(n, b, stack.dtype, form)
 
 
 def permanent_ryser(a: np.ndarray) -> complex:
@@ -126,7 +158,7 @@ def permanent_ryser(a: np.ndarray) -> complex:
     The name is kept for the public API and the benchmark tracer. Matches
     permanent_naive to 1e-10 relative for n <= 9; capped at n <= 24.
     """
-    return complex(_glynn(_check_stack(a, 2)[None])[0])
+    return complex(_glynn_stack(_check_stack(a, 2)[None])[0])
 
 
 def permanent_ryser_batch(stack: np.ndarray) -> np.ndarray:
@@ -134,7 +166,45 @@ def permanent_ryser_batch(stack: np.ndarray) -> np.ndarray:
     kernel, dtype rule, validation and cap as permanent_ryser, whose name it
     shares for the same reason. Used by the probability engines for many
     small permanents."""
-    return _glynn(_check_stack(stack, 3)).astype(complex, copy=False)
+    return _glynn_stack(_check_stack(stack, 3)).astype(complex, copy=False)
+
+
+def permanent_gather_batch(w: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """Permanents of the matrices A_p[b, a] = W[b, images[p, b], a] for every
+    row p of a (P, n) table of permutation images, as a complex (P,) array:
+    the same Glynn kernel, dtype rule and cap as permanent_ryser_batch, fed
+    by gathering each chunk's doubled columns and row sums from W instead of
+    from a materialised (P, n, n) stack. W must be a finite (n, n, n) array
+    and every image in 0 .. n - 1."""
+    w = np.asarray(w)
+    w = w.astype(float if w.dtype.kind in "biuf" else complex, copy=False)
+    if w.ndim != 3 or not w.shape[0] == w.shape[1] == w.shape[2]:
+        raise ValidationError(f"expected an (n, n, n) array, got shape {w.shape}")
+    n = w.shape[0]
+    images = np.asarray(images)
+    if images.ndim != 2 or images.shape[1] != n or images.dtype.kind not in "iu":
+        raise ValidationError(f"expected a (P, {n}) integer image table, got {images.dtype} "
+                              f"of shape {images.shape}")
+    if images.size and (images.min() < 0 or images.max() >= n):
+        raise ValidationError(f"permutation images must lie in 0 .. {n - 1}")
+    if not np.all(np.isfinite(w)):
+        raise ValidationError("matrix entries must be finite")
+    if n == 0:
+        return np.ones(len(images), dtype=complex)
+    # doubled[b, a - 1, c] = 2 W[b, c, a] and row_sums[b, c] = sum_a W[b, c, a],
+    # summed as the stack feeder sums its doubled columns
+    doubled = np.multiply(w.transpose(0, 2, 1)[:, 1:], 2, order="C")
+    row_sums = np.sum(doubled, axis=1)
+    row_sums *= 0.5
+    row_sums += w[:, :, 0]
+
+    def form(start, size, steps, first):
+        for b in range(n):
+            index = np.ascontiguousarray(images[start:start + size, b], dtype=np.intp)
+            np.take(doubled[b], index, axis=1, out=steps[b], mode="clip")
+            np.take(row_sums[b], index, out=first[b], mode="clip")
+
+    return _glynn(n, len(images), w.dtype, form).astype(complex, copy=False)
 
 
 def permanent_laplace(a: np.ndarray, row_split: int) -> complex:

@@ -52,7 +52,7 @@ from .errors import (
 )
 from .jmatrix import JMatrix, _pure_from_grams, _validate_block_states, build_mixed
 from .network import check_occupation, enumerate_outputs, mode_list, mu
-from .permanent import permanent_ryser, permanent_ryser_batch
+from .permanent import permanent_gather_batch, permanent_ryser, permanent_ryser_batch
 from .spectral import (
     IDEAL,
     DetectorModel,
@@ -74,7 +74,7 @@ NEGATIVE_CLAMP = -1e-9   # below this a negative probability is a hard error
 IMAG_RESIDUAL_TOL = 1e-10
 ORACLE_MAX_N = 5
 JMATRIX_MAX_N = 8
-PERMANENT_STACK_ELEMENTS = 1 << 14  # bounds each permanent stack of permanent, general and jmatrix
+PERMANENT_STACK_ELEMENTS = 1 << 14  # bounds each permanent stack of the product fold and the tensor route
 TENSOR_MAX_ENTRIES = 10**6  # r^N entries of each component tensor on the tensor route of general
 
 
@@ -143,8 +143,10 @@ def prob_jmatrix(jm: JMatrix, u: np.ndarray, n_occ, m_occ) -> ProbabilityResult:
     G_{l_a}[b, c] (Shchesnovich, PRA 91, 013844, 2015; Tichy, PRA 91, 022316,
     2015), or J_ct(tau) per(A_tau) without the G factor for a cycle J. J is
     Hermitian, so per(A_tau^-1) = conj per(A_tau) and one permanent per pair
-    {tau, tau^-1} suffices (``_tau_permanent_sum``). A J stored as a dense
-    matrix goes through X^dagger J X."""
+    {tau, tau^-1} suffices: (N! + I_N)/2 permanents, I_N the number of
+    involutions, in one kernel call that gathers them from W
+    (``_tau_permanent_sum``). A J stored as a dense matrix goes through
+    X^dagger J X."""
     n_occ, m_occ, n = _sizes(n_occ, m_occ, u.shape[0])
     if n > JMATRIX_MAX_N:
         raise SizeLimitError(f"prob_jmatrix capped at N <= {JMATRIX_MAX_N}, got {n}")
@@ -173,11 +175,14 @@ def prob_jmatrix(jm: JMatrix, u: np.ndarray, n_occ, m_occ) -> ProbabilityResult:
 def _tau_permanent_sum(jm: JMatrix, usub: np.ndarray) -> complex:
     """sum_tau per(A_tau) over S_N with one permanent per pair {tau, tau^-1}:
     sum over involutions of per(A_tau) plus 2 sum over the other pairs of
-    Re per(A_tau), in stacks of at most PERMANENT_STACK_ELEMENTS entries;
-    usub[b, a] = U[k_b, l_a]. Each stack is one gather A_tau = W[rows, tau]
-    from W[b, c, a] = conj(U[k_b, l_a]) U[k_c, l_a] G_{l_a}[b, c]; a cycle J
-    leaves out G and weights per(A_tau) by J_ct(tau). The imaginary part is
-    the involutions' alone, which the caller's residual check reads.
+    Re per(A_tau); usub[b, a] = U[k_b, l_a]. A_tau = W[rows, tau] with
+    W[b, c, a] = conj(U[k_b, l_a]) U[k_c, l_a] G_{l_a}[b, c]; a cycle J
+    leaves out G and weights per(A_tau) by J_ct(tau). All pair permanents
+    come from one ``permanent_gather_batch`` call on W and the
+    ``inverse_pairs`` images, which gathers each kernel chunk from W, so no
+    A_tau stack exists and a non-finite W raises ValidationError. The
+    imaginary part is the involutions' alone, which the caller's residual
+    check reads.
 
     The pairing needs J(tau^-1) = conj J(tau): a cycle value with an
     imaginary part or a non-Hermitian slot Gram raises ValidationError."""
@@ -195,16 +200,10 @@ def _tau_permanent_sum(jm: JMatrix, usub: np.ndarray) -> complex:
             raise ValidationError("tau route needs Hermitian slot Grams (a Hermitian J)")
         w *= grams.transpose(1, 2, 0)  # G_{l_a}[b, c]
         values = 1.0
+    pers = permanent_gather_batch(w, pairs.images)
     weights = np.where(pairs.involution, 1.0, 2.0) * values
-    imag_weights = weights * pairs.involution
-    rows = np.arange(n)
-    step = max(1, PERMANENT_STACK_ELEMENTS // (n * n))
-    real = imag = 0.0
-    for start in range(0, len(pairs.positions), step):
-        part = slice(start, start + step)
-        pers = permanent_ryser_batch(w[rows, pairs.images[part]])
-        real += weights[part] @ pers.real
-        imag += imag_weights[part] @ pers.imag
+    real = weights @ pers.real
+    imag = weights[pairs.involution] @ pers.imag[pairs.involution]
     return complex(real, imag)
 
 

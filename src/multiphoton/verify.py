@@ -14,9 +14,15 @@ import numpy as np
 from . import bosonsampling
 from .jmatrix import build_pure, min_eigenvalue
 from .network import mode_list, random_unitary
-from .permanent import permanent_naive, permanent_ryser
+from .permanent import (
+    permanent_gather_batch,
+    permanent_naive,
+    permanent_ryser,
+    permanent_ryser_batch,
+)
 from .probability import output_distribution
 from .spectral import IDEAL, DetectorModel, FiniteRankState, GaussianState, MixedState
+from .symgroup import inverse_pairs
 
 
 def random_instance(rng: np.random.Generator, kind: str = "gaussian",
@@ -156,6 +162,21 @@ def run_checks(seed: int = 7, inject_fault: bool = False) -> list[dict]:
     checks.append({
         "name": "permanent-ryser-vs-naive",
         "pass": bool(worst_rel < 1e-10),
+        "max_relative_error": worst_rel,
+    })
+
+    # permanents of the tau route: gathered from W against the materialised stack
+    worst_rel = 0.0
+    for n in range(1, 8):
+        w = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
+        images = inverse_pairs(n).images
+        gathered = permanent_gather_batch(w, images)
+        stacked = permanent_ryser_batch(w[np.arange(n), images])
+        rel = np.abs(gathered - stacked) / np.maximum(np.abs(stacked), 1e-300)
+        worst_rel = max(worst_rel, float(np.max(rel)))
+    checks.append({
+        "name": "tau-gather-vs-stack",
+        "pass": bool(worst_rel < 1e-13),
         "max_relative_error": worst_rel,
     })
     return checks

@@ -10,12 +10,14 @@ from multiphoton.network import fourier, submatrix
 from multiphoton.permanent import (
     RYSER_TEMP_ELEMENTS,
     is_vanishing,
+    permanent_gather_batch,
     permanent_laplace,
     permanent_naive,
     permanent_ryser,
     permanent_ryser_batch,
     zero_threshold,
 )
+from multiphoton.symgroup import inverse_pairs
 
 
 def random_complex(rng, n):
@@ -182,6 +184,42 @@ def test_kernel_memory_stays_bounded(rng):
     bound = 6 * RYSER_TEMP_ELEMENTS * 16
     assert _traced_peak(permanent_ryser, random_complex(rng, 20)) <= bound
     assert _traced_peak(permanent_ryser_batch, random_stack(rng, 3125, 5, complex)) <= bound
+    images = inverse_pairs(8).images
+    assert _traced_peak(lambda w: permanent_gather_batch(w, images),
+                        random_stack(rng, 8, 8, complex)) <= bound
+
+
+@pytest.mark.parametrize("dtype", [complex, float])
+@pytest.mark.parametrize("n", range(9))
+def test_gather_feeder_matches_materialised_stack(rng, n, dtype):
+    # P = 1, the pair table of S_n, and one table either side of a chunk
+    # boundary (a chunk holds RYSER_TEMP_ELEMENTS // n^2 matrices)
+    w = random_stack(rng, n, n, dtype)
+    rows = np.arange(n)
+    boundary = RYSER_TEMP_ELEMENTS // max(n * n, 1)
+    pairs = inverse_pairs(n).images
+    tables = [pairs[-1:], pairs] + [np.argsort(rng.random((size, n)), axis=1)
+                                    for size in (boundary - 1, boundary + 1)]
+    for images in tables:
+        got = permanent_gather_batch(w, images)
+        want = permanent_ryser_batch(w[rows, images])
+        assert got.dtype == complex and got.shape == (len(images),)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), len(images)
+
+
+def test_gather_feeder_rejects_bad_input(rng):
+    w = random_stack(rng, 3, 3, complex)
+    images = inverse_pairs(3).images
+    for bad in (np.nan, np.inf):
+        broken = w.copy()
+        broken[1, 2, 0] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            permanent_gather_batch(broken, images)
+    for table in (images + 1, images[:, :2], images.astype(float)):
+        with pytest.raises(ValidationError):
+            permanent_gather_batch(w, table)
+    with pytest.raises(ValidationError):
+        permanent_gather_batch(w[:, :2], images)
 
 
 def test_batch_nonfinite_rejected(rng):

@@ -27,7 +27,7 @@ from multiphoton.jmatrix import (
 )
 from multiphoton.bosonsampling import BSParams, build_bs_jmatrix
 from multiphoton.network import enumerate_outputs, fourier, mode_list, mu, random_unitary
-from multiphoton.permanent import permanent_ryser_batch
+from multiphoton.permanent import RYSER_TEMP_ELEMENTS, permanent_ryser_batch
 from multiphoton import probability
 from multiphoton.probability import (
     ENGINES,
@@ -566,6 +566,29 @@ def test_eight_photon_tau_route_limits(gap, reference):
         for other in (build_cycle_compressed(g, IDEAL, 8),
                       build_extreme("ind", n_occ, (IDEAL,) * 8, [g])):
             assert prob_jmatrix(other, u, n_occ, m_occ).p == pytest.approx(expected, rel=1e-9)
+
+
+def test_eight_photon_tau_route_memory_stays_bounded():
+    """The tau route feeds the Glynn kernel by gathering each chunk from W:
+    one N = 8 output on a prebuilt pure J with a different band detector on
+    every mode stays within the kernel's own bound, 6 RYSER_TEMP_ELEMENTS
+    complex numbers (1.5 MiB). The 20542 pair matrices would take 21 MB,
+    and a (P, N) index of them alone 1.3 MB."""
+    u = random_unitary(9, 88)
+    n_occ = (1,) * 8 + (0,)
+    m_occ = (0, 2, 1, 1, 0, 1, 1, 1, 1)
+    dets = [DetectorModel.gaussian_band(center=0.15 * l - 0.5, width=0.9 + 0.2 * l,
+                                        peak=1.0 - 0.03 * l) for l in range(9)]
+    jm = build_j_for(gaussians(*(0.6 * i for i in range(8))), m_occ, dets)
+    expected = prob_jmatrix(jm, u, n_occ, m_occ).p  # warms the shared tables
+    tracemalloc.start()
+    try:
+        p = prob_jmatrix(jm, u, n_occ, m_occ).p
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p == expected
+    assert peak <= 6 * RYSER_TEMP_ELEMENTS * 16
 
 
 def _full_tau_sum(jm, u, n_occ, m_occ):
