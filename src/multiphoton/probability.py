@@ -13,21 +13,23 @@ differ in the route:
   tuples (single photon or vacuum per input mode);
 * prob_general: the general ensemble formula with tensor coefficients C and
   permanents of Hadamard products U[n|m] . B(j, j') in the span basis, for
-  ensembles given only as tensors; an ensemble that carries its product
-  components c_1 x ... x c_N (every from_photons ensemble) folds each
-  component into one permanent per basis tuple, since a permanent is linear
-  in each row, and reads neither its span basis nor its tensors;
+  ensembles given as tensors; an ensemble of product components
+  c_1 x ... x c_N, given by their slot states (every from_photons ensemble),
+  folds each component into one permanent per basis tuple, since a
+  permanent is linear in each row, and has no span basis;
 * prob_classical: the Markov-chain form for maximally distinguishable photons;
 * prob_ideal_indistinguishable: |per(U[n|m])|^2 / (mu mu);
 * prob_oracle: direct expansion of both vacuum expectation values through the
-  permutation-sum identity; slow, independent of every other engine, and the
-  arbiter when they disagree.
+  permutation-sum identity, draw by draw for photons and product ensembles;
+  slow, independent of every other engine, and the arbiter when they
+  disagree.
 
 The permanent engine and the product fold share one route: each draw of N
 pure slot states takes the rows of S(j) from factors R_l^dagger R_l = G_l of
-its Gamma_l-weighted Grams (Tichy, PRA 91, 022316, 2015). Photons given to
-the general engine's sweep take it directly, for any occupancy, without an
-ensemble.
+its Gamma_l-weighted Grams (Tichy, PRA 91, 022316, 2015), sub-blocks of one
+Gram per detector over the distinct states of all draws. A product ensemble
+is its draws: photons given to the general engine's sweep and their
+from_photons ensemble take the same route, for any occupancy.
 
 Multiplicity factors mu(n), mu(m) live here and nowhere else.
 """
@@ -256,16 +258,21 @@ def _gram_draws(draws, detectors) -> _FoldSetup:
     """Factor every (weight, N slot states) draw: per detector, the (r, N)
     slot columns of the ``gram_factor`` of the Gram of its distinct states
     (duplicates add no rank), zero-padded to r, the largest rank over the
-    detectors. Draws that no detector sees (r = 0) are dropped."""
+    detectors. Each draw's Gram is a sub-block of one Gram per detector over
+    the distinct states of all draws. Draws that no detector sees (r = 0)
+    are dropped."""
+    draws = list(draws)
+    every = list(dict.fromkeys(s for _, states in draws for s in states))
+    index = {s: i for i, s in enumerate(every)}
     kind = {det: i for i, det in enumerate(detectors)}
+    grams = [gram_matrix(every, det) for det in kind]
     by_rank: dict[int, tuple[list, list]] = {}
-    count = 0
     for weight, states in draws:
-        count += 1
         distinct = list(dict.fromkeys(states))
         cols = [distinct.index(s) for s in states]
-        factors = [gram_factor(gram_matrix(distinct, det)) for det in kind]
-        r = max(len(f) for f in factors)
+        at = [index[s] for s in distinct]
+        factors = [gram_factor(g[np.ix_(at, at)]) for g in grams]
+        r = max((len(f) for f in factors), default=0)
         padded = np.zeros((len(kind), r, len(states)), dtype=complex)
         for f, out in zip(factors, padded):
             out[:len(f)] = f[:, cols]
@@ -274,7 +281,7 @@ def _gram_draws(draws, detectors) -> _FoldSetup:
         rows.append(padded)
     groups = tuple((np.array(weights), np.stack(rows))
                    for r, (weights, rows) in by_rank.items() if r)
-    return _FoldSetup(kind, groups, count)
+    return _FoldSetup(kind, groups, len(draws))
 
 
 def _fold_output(setup: _FoldSetup, slot_dets: tuple[DetectorModel, ...],
@@ -381,60 +388,50 @@ def _mode_correlated_draws(photons: Sequence[PureState | MixedState], n_occ):
 
 @dataclass
 class GeneralEnsemble:
-    """Spectral state of N photons as an ensemble of tensor coefficient
-    arrays over the rank-r span basis.
+    """Spectral state of N photons as an ensemble of (weight, component)
+    pairs, each component in one of two forms:
 
-    ``component_states``, when set, marks every component as a product
-    C_i = c_{i,1} x ... x c_{i,N}: component_states[i] holds the N states of
-    its slots, and must agree with C_i. ``from_photons`` sets them; an
-    ensemble built by hand carries none and is evaluated as entangled."""
+    * with a ``basis``, a tensor coefficient array C of r^N entries over that
+      rank-r span basis, evaluated as entangled;
+    * with ``basis`` None, a product C = c_1 x ... x c_N given by its N slot
+      states, as ``from_photons`` builds it.
 
-    basis: SpanBasis
-    components: tuple[tuple[float, np.ndarray], ...]
-    component_states: tuple[tuple[PureState, ...], ...] | None = None
+    Every component describes the same number of photons."""
+
+    basis: SpanBasis | None
+    components: tuple[tuple[float, np.ndarray | tuple[PureState, ...]], ...]
 
     def __post_init__(self):
-        states = self.component_states
-        if states is not None and (len(states) != len(self.components)
-                                   or any(len(slots) != self.n for slots in states)):
-            raise ValidationError(f"need {self.n} slot states for each of the "
-                                  f"{len(self.components)} components")
+        if len(slots := {self._slots(c) for _, c in self.components}) > 1:
+            raise ValidationError(f"components describe different photon numbers {sorted(slots)}")
+
+    def _slots(self, component) -> int:
+        return len(component) if self.basis is None else np.ndim(component)
 
     @property
     def n(self) -> int:
-        return self.components[0][1].ndim
+        return self._slots(self.components[0][1])
 
     @staticmethod
     def from_photons(photons: Sequence[PureState | MixedState],
                      n_occ: Sequence[int] | None = None) -> "GeneralEnsemble":
-        """Product-form ensemble: every mode-correlated ensemble draw
-        contributes C = c_1 x ... x c_N with weight prod p. Without an
+        """Product-form ensemble: every mode-correlated ensemble draw is one
+        component, its N slot states with weight prod p. Without an
         occupation vector every photon occupies its own mode (independent
-        draws).
-
-        It materialises the span basis of all components and K tensors of
-        r^N entries: 4096 tensors of 15^4 entries (3.3 GB) for four 8-node
-        jitter photons. ``prob_general`` reads only ``component_states``
-        of it, and ``output_distribution("general", photons=...)`` builds
-        none."""
+        draws)."""
         if n_occ is None:
             n_occ = (1,) * len(photons)
-        all_states = [s for p in photons for _, s in pure_components(p)]
-        basis = SpanBasis(all_states)
-        index_of = {s: pos for pos, s in enumerate(all_states)}  # duplicates share coords
-        comps, component_states = [], []
-        for weight, states in _mode_correlated_draws(photons, n_occ):
-            factor = basis.coords[:, [index_of[s] for s in states]]
-            tensor = factor[:, 0]
-            for column in factor.T[1:]:
-                tensor = np.multiply.outer(tensor, column)
-            comps.append((weight, np.asarray(tensor)))
-            component_states.append(tuple(states))
-        return GeneralEnsemble(basis, tuple(comps), tuple(component_states))
+        return GeneralEnsemble(None, tuple((weight, tuple(states)) for weight, states
+                                           in _mode_correlated_draws(photons, n_occ)))
 
     def validate_symmetry(self, n_occ, tol: float = 1e-10) -> None:
         """The G-function symmetry: C invariant under permutations of tensor
-        slots within each input-mode block."""
+        slots within each input-mode block; a product component carries the
+        same state on every slot of a block."""
+        if self.basis is None:
+            for _, states in self.components:
+                _validate_block_states(states, mode_list(n_occ))
+            return
         for _, tensor in self.components:
             for block in mode_subgroup_blocks(n_occ):
                 for a, b in zip(block, block[1:]):
@@ -457,22 +454,19 @@ class _TensorSetup:
 
 
 def _general_setup(ensemble: GeneralEnsemble, n_occ, detectors) -> _FoldSetup | _TensorSetup:
-    """The product fold's draws if the ensemble carries component states,
-    else a ``_TensorSetup`` (capped at r^N <= TENSOR_MAX_ENTRIES). Each route
-    checks the input-mode symmetry of what it reads: the component states,
-    or the tensors."""
+    """The product fold's draws for product components, else a
+    ``_TensorSetup`` (capped at r^N <= TENSOR_MAX_ENTRIES), after the
+    input-mode symmetry check of the components."""
     n = sum(n_occ)
     if ensemble.n != n:
         raise ValidationError(f"ensemble describes {ensemble.n} photons, instance has {n}")
-    probs = np.array([w for w, _ in ensemble.components])
-    if ensemble.component_states is not None:
-        for states in ensemble.component_states:
-            _validate_block_states(states, mode_list(n_occ))
-        return _gram_draws(zip(probs, ensemble.component_states), detectors)
-    r = ensemble.basis.rank
-    if r**n > TENSOR_MAX_ENTRIES:
-        raise SizeLimitError(f"r^N = {r**n} exceeds TENSOR_MAX_ENTRIES = {TENSOR_MAX_ENTRIES}")
+    if ensemble.basis is not None and ensemble.basis.rank**n > TENSOR_MAX_ENTRIES:
+        raise SizeLimitError(f"r^N = {ensemble.basis.rank**n} exceeds "
+                             f"TENSOR_MAX_ENTRIES = {TENSOR_MAX_ENTRIES}")
     ensemble.validate_symmetry(n_occ)
+    if ensemble.basis is None:
+        return _gram_draws(ensemble.components, detectors)
+    probs = np.array([w for w, _ in ensemble.components])
     coeffs = np.stack([np.asarray(c, dtype=complex).reshape(-1) for _, c in ensemble.components])
     sqrt_ops = {det: ensemble.basis.detector_sqrt(det) for det in detectors}
     return _TensorSetup(sqrt_ops, probs, coeffs)
@@ -507,13 +501,13 @@ def prob_general(ensemble: GeneralEnsemble, detectors: Sequence[DetectorModel] |
     P = (1/(mu mu)) sum_i p_i sum_j |sum_j' C_{j'} per(U[n|m] . B(j, j'))|^2
     with B(j, j')[beta, alpha] = <j_alpha| sqrt(Gamma_{l_alpha}) |j'_beta>.
 
-    The route follows from the ensemble. When it carries its component
-    states (every ``from_photons`` ensemble), each component is a draw of
-    the product fold of ``prob_permanent_basis`` (the permanent is linear in
-    each row): one permanent per basis tuple of its own Gram factors, exact
-    whatever the number of components K, and the span basis and tensors go
-    unread. Otherwise (entangled tensors) the r^N permanents per tuple in
-    the span basis are shared by every component."""
+    The route follows from the ensemble. A product component, given by its
+    slot states (every ``from_photons`` ensemble), is a draw of the product
+    fold of ``prob_permanent_basis`` (the permanent is linear in each row):
+    one permanent per basis tuple of its own Gram factors, exact whatever
+    the number of components K, with no span basis. Components given as
+    tensors (entangled) share the r^N permanents per tuple in the span
+    basis."""
     n_occ, m_occ, _ = _sizes(n_occ, m_occ, u.shape[0])
     slot_dets = _slot_detectors(detectors, m_occ, u.shape[0])
     setup = _general_setup(ensemble, n_occ, set(slot_dets))
@@ -553,8 +547,10 @@ def prob_oracle(photons_or_ensemble, detectors: Sequence[DetectorModel] | None,
     P = (1/(mu mu)) sum_{s1,s2} [prod_b U*_{k_{s1^-1(b)}, l_b} U_{k_{s2^-1(b)}, l_b}]
         x (spectral contraction of G against the detector sensitivities).
 
-    Shares only the spectral data layer with the other engines; no J matrix,
-    no permanents.
+    Photons and product ensembles (every ``from_photons`` one) are read
+    draw by draw, as products of per-slot Grams; an ensemble given as
+    tensors is contracted in its span basis (rank r <= N). Shares only the
+    spectral data layer with the other engines; no J matrix, no permanents.
     """
     n_occ, m_occ, n = _sizes(n_occ, m_occ, u.shape[0])
     if n > ORACLE_MAX_N:
@@ -569,14 +565,20 @@ def prob_oracle(photons_or_ensemble, detectors: Sequence[DetectorModel] | None,
     x_inv = np.prod(u[ks[invs], ls[None, :]], axis=1)
 
     if isinstance(photons_or_ensemble, GeneralEnsemble):
-        tmat = _oracle_tensor_contractions(photons_or_ensemble, slot_dets, invs, n)
+        ensemble, draws = photons_or_ensemble, photons_or_ensemble.components
+        if ensemble.n != n:
+            raise ValidationError(f"ensemble describes {ensemble.n} photons, instance has {n}")
     else:
         photons = list(photons_or_ensemble)
         if len(photons) != n:
             raise ValidationError(f"need {n} photons, got {len(photons)}")
+        ensemble, draws = None, _mode_correlated_draws(photons, n_occ)
+    if ensemble is not None and ensemble.basis is not None:
+        tmat = _oracle_tensor_contractions(ensemble, slot_dets, invs, n)
+    else:
         nf = perms.shape[0]
         tmat = np.zeros((nf, nf), dtype=complex)
-        for weight, states in _mode_correlated_draws(photons, n_occ):
+        for weight, states in draws:
             grams = {d: gram_matrix(states, d) for d in set(slot_dets)}
             part = np.ones((nf, nf), dtype=complex)
             for b in range(n):
@@ -674,10 +676,10 @@ def output_distribution(engine: str, u: np.ndarray, n_occ, *,
     The output-independent set-up of an engine is done once per sweep: the
     Gram factors of each draw and detector for ``permanent`` and ``general``
     (the draws of the photons, whose slots in one input mode must carry the
-    same state, or the components of an ensemble with component states), the
-    span-basis operators and checks of a tensor-only ``general`` ensemble,
-    and the Grams or mixed J builds of ``jmatrix``. Given both photons and an
-    ensemble, ``general`` reads the ensemble."""
+    same state, or the product components of an ensemble), from one Gram per
+    detector, the span-basis operators and checks of a ``general`` ensemble
+    given as tensors, and the Grams or mixed J builds of ``jmatrix``. Given
+    both photons and an ensemble, ``general`` reads the ensemble."""
     modes = u.shape[0]
     n_occ = check_occupation(n_occ, modes)
     n = sum(n_occ)
@@ -704,7 +706,7 @@ def output_distribution(engine: str, u: np.ndarray, n_occ, *,
         else:
             setup = _general_setup(ensemble, n_occ, kinds)
         if isinstance(setup, _FoldSetup):
-            grams = setup.draws * len(kinds)
+            grams = len(kinds)
             results = [_fold_output(setup, dets, u, n_occ, m_occ, engine)
                        for m_occ, dets in zip(outputs, slot_dets)]
         else:

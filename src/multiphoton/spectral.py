@@ -12,7 +12,8 @@ Two state representations are supported and never mixed within one instance:
 A detector enters only between two input states, so every integral becomes
 small Hermitian matrix algebra on detector-weighted Grams. The photon
 engines factor those Grams (``gram_factor``); ``SpanBasis``, which drops span
-directions below ``RANK_TOL``, serves only ensembles given as tensors.
+directions below ``RANK_TOL``, serves only ensembles given as tensors, and
+no path that starts from photons (a product ensemble included) builds one.
 """
 
 from __future__ import annotations

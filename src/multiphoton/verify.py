@@ -20,7 +20,7 @@ from .permanent import (
     permanent_ryser,
     permanent_ryser_batch,
 )
-from .probability import output_distribution
+from .probability import GeneralEnsemble, output_distribution
 from .spectral import IDEAL, DetectorModel, FiniteRankState, GaussianState, MixedState
 from .symgroup import inverse_pairs
 
@@ -178,5 +178,24 @@ def run_checks(seed: int = 7, inject_fault: bool = False) -> list[dict]:
         "name": "tau-gather-vs-stack",
         "pass": bool(worst_rel < 1e-13),
         "max_relative_error": worst_rel,
+    })
+
+    # a from_photons ensemble against its photons, mixed and multi-occupancy
+    u = random_unitary(3, int(rng.integers(0, 2**31)))
+    rho, other = (MixedState.gaussian_time_jitter(0.0, 1.0, 0.5, mean_time=float(t), nodes=3)
+                  for t in rng.normal(0.0, 0.8, 2))
+    photons, n_occ = [rho, rho, other], (2, 1, 0)
+    detectors = [DetectorModel.gaussian_band(center=float(rng.normal(0.0, 0.5)),
+                                             width=float(rng.uniform(2.0, 6.0)),
+                                             peak=float(rng.uniform(0.7, 1.0)))
+                 for _ in range(3)]
+    sources = ({"photons": photons}, {"ensemble": GeneralEnsemble.from_photons(photons, n_occ)})
+    dists = [output_distribution(engine, u, n_occ, detectors=detectors, **source)
+             for engine in ("oracle", "general") for source in sources]
+    worst = max(abs(a.p - b.p) for d in dists[1:] for a, b in zip(dists[0].results, d.results))
+    checks.append({
+        "name": "product-ensemble-vs-photons",
+        "pass": bool(worst < 1e-12),
+        "max_discrepancy": worst,
     })
     return checks

@@ -189,6 +189,14 @@ def test_verify_pass_and_fault_injection(tmp_path):
     assert json.loads(out.read_text())["all_pass"] is False
 
 
+def test_verify_checks_product_ensemble_against_photons_last(tmp_path):
+    out = tmp_path / "verify.json"
+    assert run(["verify", "--seed", "7", "--out", str(out)]) == 0
+    last = json.loads(out.read_text())["checks"][-1]
+    assert last["name"] == "product-ensemble-vs-photons" and last["pass"] is True
+    assert last["max_discrepancy"] < 1e-12
+
+
 def test_verify_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert run(["verify", "--seed", "3", "--out", str(a)]) == 0

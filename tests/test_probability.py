@@ -50,6 +50,7 @@ from multiphoton.spectral import (
     GaussianState,
     MixedState,
     SpanBasis,
+    pure_components,
 )
 from multiphoton.symgroup import permutation_array
 from multiphoton.verify import engine_discrepancy, random_instance
@@ -327,19 +328,35 @@ FOLD_DETECTORS = {
 }
 
 
+def tensor_ensemble(photons, n_occ) -> GeneralEnsemble:
+    """The from_photons ensemble given as tensors: every component
+    C = c_1 x ... x c_N as r^N coefficients over the span basis of all
+    photon components, which the engines evaluate as entangled."""
+    states = [s for p in photons for _, s in pure_components(p)]
+    basis = SpanBasis(states)
+    coords = {s: basis.coords[:, pos] for pos, s in enumerate(states)}
+    comps = []
+    for weight, slots in GeneralEnsemble.from_photons(photons, n_occ).components:
+        tensor = coords[slots[0]]
+        for s in slots[1:]:
+            tensor = np.multiply.outer(tensor, coords[s])
+        comps.append((weight, np.asarray(tensor)))
+    return GeneralEnsemble(basis, tuple(comps))
+
+
 @pytest.mark.parametrize("det_kind", list(FOLD_DETECTORS))
 @pytest.mark.parametrize("case", ["single", "multi", "mixed", "identical"])
 def test_product_fold_matches_tensor_route(case, det_kind):
-    """A from_photons ensemble gives the same probability on every output
-    with its component states (the product fold: one permanent per tuple and
-    component) and without them (r^N permanents per tuple); both match the
+    """A from_photons ensemble (the product fold: one permanent per tuple and
+    component) gives the same probability on every output as the same
+    ensemble given as tensors (r^N permanents per tuple); both match the
     oracle."""
     n_occ, photons = _fold_case(case, finite=det_kind == "matrix")
     dets = FOLD_DETECTORS[det_kind]
     u = random_unitary(4, 404)
     ens = GeneralEnsemble.from_photons(photons, n_occ)
-    assert ens.component_states is not None and len(ens.components) <= ens.basis.rank ** ens.n
-    tensor = replace(ens, component_states=None)
+    tensor = tensor_ensemble(photons, n_occ)
+    assert ens.basis is None and len(ens.components) <= tensor.basis.rank ** ens.n
     for m_occ in enumerate_outputs(4, sum(n_occ)):
         p = prob_general(ens, dets, u, n_occ, m_occ).p
         assert abs(p - prob_general(tensor, dets, u, n_occ, m_occ).p) <= 1e-12
@@ -347,11 +364,13 @@ def test_product_fold_matches_tensor_route(case, det_kind):
 
 
 def test_general_ensemble_rejects_misshapen_component_states():
+    """Every component, product or tensor, describes the same photon number."""
     ens = GeneralEnsemble.from_photons(gaussians(0.0, 0.5, 1.0))
-    with pytest.raises(ValidationError):
-        replace(ens, component_states=ens.component_states * 2)
-    with pytest.raises(ValidationError):
-        replace(ens, component_states=(ens.component_states[0][:2],))
+    with pytest.raises(ValidationError, match="different photon numbers"):
+        replace(ens, components=ens.components + ((1.0, ens.components[0][1][:2]),))
+    tensor = tensor_ensemble(gaussians(0.0, 0.5, 1.0), (1, 1, 1))
+    with pytest.raises(ValidationError, match="different photon numbers"):
+        replace(tensor, components=tensor.components + ((1.0, tensor.components[0][1][0]),))
 
 
 # -- linearity, normalization, limits ----------------------------------------------
@@ -435,12 +454,17 @@ def test_completely_distinguishable_limit():
 
 def test_vacuum_input():
     """Every engine gives the vacuum output with P = 1 for the vacuum input,
-    ``general`` too when it has no photons to build an ensemble from."""
+    from no photons and, for ``general`` and ``oracle``, from their empty
+    product ensemble."""
     u = fourier(3)
     assert prob_oracle([], None, u, (0, 0, 0), (0, 0, 0)).p == pytest.approx(1.0)
     assert prob_classical(u, (0, 0, 0), (0, 0, 0)).p == pytest.approx(1.0)
     for engine in ENGINES:
         dist = output_distribution(engine, u, (0, 0, 0), photons=[])
+        assert [(r.m, r.p, r.engine) for r in dist.results] == [((0, 0, 0), 1.0, engine)]
+    vacuum = GeneralEnsemble.from_photons([], (0, 0, 0))
+    for engine in ("general", "oracle"):
+        dist = output_distribution(engine, u, (0, 0, 0), ensemble=vacuum)
         assert [(r.m, r.p, r.engine) for r in dist.results] == [((0, 0, 0), 1.0, engine)]
 
 
@@ -704,9 +728,8 @@ def test_mixed_jitter_photons_under_band_detectors_match_oracle(setup_counts):
     """Three 8-node jitter photons whose 24 components nearly share a span,
     under a different band detector on every mode: the jmatrix, general and
     permanent engines agree with the oracle to 1e-12 on every output. No
-    engine builds a span basis; a from_photons ensemble would hold 512
-    tensors of 14^3 entries (22 MiB), and the general sweep's traced peak
-    stays under 5 MiB."""
+    engine builds a span basis, and the general sweep's traced peak stays
+    under 5 MiB."""
     u = random_unitary(4, 2)
     n_occ = (1, 1, 1, 0)
     photons = [MixedState.gaussian_time_jitter(0.0, 1.0, 0.5, mean_time=t, nodes=8)
@@ -738,12 +761,55 @@ def test_general_folds_product_ensemble_with_more_components_than_span_tensors()
     u = random_unitary(3, 5)
     n_occ = (1, 1, 0)
     ensemble = GeneralEnsemble.from_photons(photons, n_occ)
-    assert len(ensemble.components) > ensemble.basis.rank ** 2
+    assert len(ensemble.components) > tensor_ensemble(photons, n_occ).basis.rank ** 2
     dist = output_distribution("general", u, n_occ, photons=photons, detectors=dets)
     for r in dist.results:
         want = prob_oracle(photons, dets, u, n_occ, r.m).p
         assert abs(r.p - want) <= 1e-12
         assert abs(prob_general(ensemble, dets, u, n_occ, r.m).p - want) <= 1e-12
+
+
+def _jitter_pair():
+    """(n_occ, photons, dets, u): two 4-node jitter photons, r = 8 > N = 2."""
+    photons = [MixedState.gaussian_time_jitter(0.0, 1.0, 0.5, mean_time=t, nodes=4)
+               for t in (0.0, 0.7)]
+    return (1, 1, 0), photons, FOLD_DETECTORS["band"][:3], random_unitary(3, 8)
+
+
+def _mixed_multi_occupancy():
+    """(n_occ, photons, dets, u): input (2, 1, 0), the pair sharing each draw."""
+    rho = MixedState.ensemble([(0.4, GaussianState(0.0, 1.0, 0.0)),
+                               (0.6, GaussianState(0.0, 1.0, 1.1))])
+    photons = [rho, rho, MixedState.gaussian_time_jitter(0.0, 1.0, 0.5, mean_time=0.5, nodes=3)]
+    return (2, 1, 0), photons, FOLD_DETECTORS["band"][:3], random_unitary(3, 321)
+
+
+@pytest.mark.parametrize("case", [_jitter_pair, _mixed_multi_occupancy])
+def test_oracle_reads_product_ensemble_as_photons(case):
+    """The oracle reads a from_photons ensemble draw by draw, as it reads the
+    photons, whatever its span rank; the general engine matches it."""
+    n_occ, photons, dets, u = case()
+    ensemble = GeneralEnsemble.from_photons(photons, n_occ)
+    for m_occ in enumerate_outputs(3, sum(n_occ)):
+        want = prob_oracle(photons, dets, u, n_occ, m_occ).p
+        assert abs(prob_oracle(ensemble, dets, u, n_occ, m_occ).p - want) <= 1e-15
+        assert abs(prob_general(ensemble, dets, u, n_occ, m_occ).p - want) <= 1e-12
+
+
+def test_from_photons_builds_no_span_basis(setup_counts):
+    """A from_photons ensemble holds each draw's weight and slot states: for
+    three 8-node jitter photons, 512 components and no span basis."""
+    photons = [MixedState.gaussian_time_jitter(0.0, 1.0, 0.5, mean_time=t, nodes=8)
+               for t in (0.0, 0.6, 1.2)]
+    tracemalloc.start()
+    try:
+        ensemble = GeneralEnsemble.from_photons(photons)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ensemble.basis is None and len(ensemble.components) == 512 and ensemble.n == 3
+    assert "SpanBasis" not in setup_counts
+    assert peak < 2**20
 
 
 @st.composite
@@ -1103,13 +1169,13 @@ def test_mixed_jmatrix_sweep_with_ideal_detectors_builds_one_j(setup_counts):
         assert abs(r.p - prob_jmatrix(jm, u, n_occ, r.m).p) <= 1e-15
 
 
-def test_permanent_sweep_factors_one_gram_per_draw_and_detector(setup_counts):
+def test_permanent_sweep_computes_one_gram_per_detector(setup_counts):
     u = random_unitary(4, 73)
     n_occ = (1, 1, 0, 1)
     photons = [jitter(0.0), jitter(0.5), GaussianState(0.0, 1.0, -0.4)]
     dist = output_distribution("permanent", u, n_occ, photons=photons, detectors=SWEEP_DETS)
-    # one Gram per draw of the two 3-node photons and distinct detector; no span basis
-    assert setup_counts == {"gram_matrix": 3 * 3 * len(set(SWEEP_DETS))}
+    # one Gram per distinct detector over the states of all draws; no span basis
+    assert setup_counts == {"gram_matrix": len(set(SWEEP_DETS))}
     assert_sweep_matches_public_calls(
         dist, lambda m_occ: prob_permanent_basis(photons, SWEEP_DETS, u, n_occ, m_occ))
 
@@ -1129,8 +1195,8 @@ def test_general_sweep_builds_no_span_basis(setup_counts):
     rho = jitter(0.0, nodes=2)
     photons = [rho, rho, jitter(0.6, nodes=2), GaussianState(0.0, 1.0, -0.4)]
     dist = output_distribution("general", u, n_occ, photons=photons, detectors=SWEEP_DETS)
-    # one Gram per mode-correlated draw and distinct detector, and no ensemble
-    assert setup_counts == {"gram_matrix": 2 * 2 * len(set(SWEEP_DETS))}
+    # one Gram per distinct detector over the states of all draws, and no ensemble
+    assert setup_counts == {"gram_matrix": len(set(SWEEP_DETS))}
     ensemble = GeneralEnsemble.from_photons(photons, n_occ)
     assert_sweep_matches_public_calls(
         dist, lambda m_occ: prob_general(ensemble, SWEEP_DETS, u, n_occ, m_occ))
@@ -1162,7 +1228,7 @@ def test_sweep_names_its_set_up_in_debug_log(caplog):
             if r.getMessage().startswith("output_distribution")] == [
         f"output_distribution: jmatrix engine, 10 outputs, set-up: 0 Grams, {builds} J builds",
         "output_distribution: jmatrix engine, 10 outputs, set-up: 3 Grams, 0 J builds",
-        "output_distribution: permanent engine, 10 outputs, set-up: 9 Grams, 0 J builds",
+        "output_distribution: permanent engine, 10 outputs, set-up: 1 Grams, 0 J builds",
         "output_distribution: general engine, 10 outputs, set-up: 1 Grams, 0 J builds",
         "output_distribution: ideal engine, 10 outputs, set-up: 0 Grams, 0 J builds",
     ]
