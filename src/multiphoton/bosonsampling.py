@@ -160,8 +160,7 @@ def purity_closed(params: BSParams) -> PurityResult:
 def purity_direct(params: BSParams) -> PurityResult:
     """Cycle-index route: Tr{(J/N!)^2} = (1-g)^N Z_N(1/(1-g), ..., 1/(1-g^N)).
 
-    Brute-force cross-check of the closed form; capped at N <= 10 with the
-    cycle-index cap."""
+    Brute-force cross-check of the closed form; capped at N <= 10."""
     n = params.n_photons
     if n > 10:
         raise SizeLimitError("purity_direct capped at N <= 10")

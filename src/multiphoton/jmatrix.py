@@ -100,7 +100,7 @@ class JMatrix:
     def entry(self, s1: Sequence[int], s2: Sequence[int]) -> complex:
         """J(s1, s2) for image arrays s1, s2."""
         if self.storage == "dense":
-            return complex(self.dense[permutation_index(tuple(s1)), permutation_index(tuple(s2))])
+            return complex(self.dense[permutation_index(s1), permutation_index(s2)])
         if self.storage == "cycle":
             return complex(self.cycle_values[relative_cycle_type(s1, s2)])
         i1, i2 = np.asarray(s1, dtype=np.intp), np.asarray(s2, dtype=np.intp)

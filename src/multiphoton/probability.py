@@ -421,6 +421,8 @@ class GeneralEnsemble:
         draws)."""
         if n_occ is None:
             n_occ = (1,) * len(photons)
+        if len(photons) != sum(n_occ):
+            raise ValidationError(f"need {sum(n_occ)} photons, got {len(photons)}")
         return GeneralEnsemble(None, tuple((weight, tuple(states)) for weight, states
                                            in _mode_correlated_draws(photons, n_occ)))
 
@@ -572,6 +574,7 @@ def prob_oracle(photons_or_ensemble, detectors: Sequence[DetectorModel] | None,
         photons = list(photons_or_ensemble)
         if len(photons) != n:
             raise ValidationError(f"need {n} photons, got {len(photons)}")
+        _validate_block_states(photons, ks)
         ensemble, draws = None, _mode_correlated_draws(photons, n_occ)
     if ensemble is not None and ensemble.basis is not None:
         tmat = _oracle_tensor_contractions(ensemble, slot_dets, invs, n)

@@ -1,12 +1,13 @@
 """Permutations of N elements: enumeration, cycle structure, mode subgroups,
 and the cycle index polynomial.
 
-The cycle structure of all of S_N lives in one cached table,
-``cycle_table``: the distinct cycles and, for every permutation, the ids of
-its cycles. Cycle types (``cycle_type_positions``, ``relative_cycle_type``)
-and the cycle traces of mixed J matrices are read from it. A second cached
-table, ``inverse_pairs``, holds one representative of every pair
-{tau, tau^-1}, over which the tau route of ``prob_jmatrix`` sums.
+S_N lives in one cached (N!, N) array, ``permutation_array``, whose rows
+are ranked without a table by their Lehmer code (``permutation_index``).
+On it, ``cycle_table`` holds the distinct cycles and each permutation's
+cycle ids (read by ``cycle_type_positions`` and mixed J builds), and
+``inverse_pairs`` one representative of every pair {tau, tau^-1}, over which
+the tau route of ``prob_jmatrix`` sums. ``relative_cycle_type`` and
+``cycle_index`` walk cycles and partitions instead: no table, no cap.
 
 Conventions (fixed once, relied on everywhere):
 
@@ -101,16 +102,6 @@ def identity(n: int) -> Permutation:
     return Permutation(range(n))
 
 
-@lru_cache(maxsize=None)
-def _image_tuples(n: int) -> tuple[tuple[int, ...], ...]:
-    # n = 0 is allowed internally (S_0 has one empty permutation), so the
-    # probability engines handle vacuum inputs uniformly
-    if not 0 <= n <= MAX_ENUM_N:
-        raise SizeLimitError(f"full S_N enumeration capped at N <= {MAX_ENUM_N}, got {n}")
-    # itertools.permutations yields lexicographic order for sorted input
-    return tuple(itertools.permutations(range(n)))
-
-
 def enumerate_permutations(n: int) -> list[Permutation]:
     """All N! permutations in lexicographic order of image arrays.
 
@@ -119,26 +110,43 @@ def enumerate_permutations(n: int) -> list[Permutation]:
     """
     if n < 1:
         raise SizeLimitError("enumeration needs 1 <= N")
-    return [Permutation(t) for t in _image_tuples(n)]
+    return [Permutation(t) for t in permutation_array(n).tolist()]
 
 
 @lru_cache(maxsize=None)
 def permutation_array(n: int) -> np.ndarray:
-    """(N!, N) int array of images in canonical order (shared, read-only)."""
-    arr = np.array(_image_tuples(n), dtype=np.intp)
+    """(N!, N) int array of images in canonical order (shared, read-only):
+    S_k is, for each first image f, S_(k-1) with entries >= f shifted up."""
+    # n = 0 is allowed internally (S_0 has one empty permutation), so the
+    # probability engines handle vacuum inputs uniformly
+    if not 0 <= n <= MAX_ENUM_N:
+        raise SizeLimitError(f"full S_N enumeration capped at N <= {MAX_ENUM_N}, got {n}")
+    arr = np.zeros((1, 0), dtype=np.intp)
+    for k in range(1, n + 1):
+        first = np.repeat(np.arange(k), len(arr))[:, None]
+        rest = np.tile(arr, (k, 1))
+        rest += rest >= first
+        arr = np.hstack((first, rest))
     arr.setflags(write=False)
     return arr
 
 
-@lru_cache(maxsize=None)
-def _index_map(n: int) -> dict[tuple[int, ...], int]:
-    return {t: i for i, t in enumerate(_image_tuples(n))}
+def _lehmer_rank(images: np.ndarray) -> np.ndarray:
+    """Canonical positions of image arrays along the last axis: Lehmer digit a
+    counts the later images smaller than image a, read in factorial base."""
+    n = images.shape[-1]
+    a = np.arange(n)
+    factorials = np.array([math.factorial(n - 1 - k) for k in a], dtype=np.intp)
+    weights = (a[:, None] < a) * factorials[:, None]  # pair (a, b), b later: (N-1-a)!
+    return np.einsum("...ab,ab->...", images[..., :, None] > images[..., None, :], weights)
 
 
 def permutation_index(sigma: Permutation | Sequence[int]) -> int:
     """Canonical index of a permutation in the lexicographic enumeration."""
-    images = sigma.images if isinstance(sigma, Permutation) else tuple(sigma)
-    return _index_map(len(images))[images]
+    images = sigma.images if isinstance(sigma, Permutation) else Permutation(sigma).images
+    if len(images) > MAX_ENUM_N:
+        raise SizeLimitError(f"permutation_index capped at N <= {MAX_ENUM_N}, got {len(images)}")
+    return int(_lehmer_rank(np.array(images, dtype=np.intp)))
 
 
 def cycle_decomposition(sigma: Permutation) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
@@ -279,11 +287,7 @@ def inverse_pairs(n: int) -> InversePairs:
     720 at N = 6, 20542 of 40320 at N = 8. The canonical position of tau^-1
     is the Lehmer rank of its image array, so no N^N code table is needed."""
     perms = permutation_array(n)
-    inverses = np.argsort(perms, axis=1)
-    inverse_position = np.zeros(len(perms), dtype=np.intp)
-    for a in range(n - 1):  # Lehmer digit a: later images smaller than image a
-        smaller = np.count_nonzero(inverses[:, a + 1:] < inverses[:, a, None], axis=1)
-        inverse_position += smaller * math.factorial(n - 1 - a)
+    inverse_position = _lehmer_rank(np.argsort(perms, axis=1))
     positions = np.flatnonzero(np.arange(len(perms)) <= inverse_position)
     involution = inverse_position[positions] == positions
     images = perms[positions]
@@ -328,8 +332,6 @@ def cycle_index(n: int, a: Sequence[complex]) -> complex:
     Evaluated over cycle types with class-size weights; the enumeration-based
     definition is asserted equal in the tests.
     """
-    if n > MAX_ENUM_N:
-        raise SizeLimitError(f"cycle_index capped at N <= {MAX_ENUM_N}")
     if len(a) < n:
         raise ValidationError(f"need {n} indeterminate values, got {len(a)}")
     total = 0.0 + 0.0j
@@ -345,7 +347,4 @@ def cycle_index(n: int, a: Sequence[complex]) -> complex:
 def relative_cycle_type(s1: Sequence[int], s2: Sequence[int]) -> tuple[int, ...]:
     """Cycle type of s2 ∘ s1^{-1}, the relative permutation indexing
     cycle-compressed J matrices."""
-    rel = np.asarray(s2, dtype=np.intp)[np.argsort(s1)]
-    n = len(rel)
-    types = [ct for ct, _ in cycle_types(n)]
-    return types[cycle_type_positions(n)[permutation_index(rel.tolist())]]
+    return (Permutation(s2) * Permutation(s1).inverse()).cycle_type()

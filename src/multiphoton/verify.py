@@ -22,7 +22,7 @@ from .permanent import (
 )
 from .probability import GeneralEnsemble, output_distribution
 from .spectral import IDEAL, DetectorModel, FiniteRankState, GaussianState, MixedState
-from .symgroup import inverse_pairs
+from .symgroup import inverse_pairs, permutation_array, permutation_index
 
 
 def random_instance(rng: np.random.Generator, kind: str = "gaussian",
@@ -197,5 +197,23 @@ def run_checks(seed: int = 7, inject_fault: bool = False) -> list[dict]:
         "name": "product-ensemble-vs-photons",
         "pass": bool(worst < 1e-12),
         "max_discrepancy": worst,
+    })
+
+    # S_N tables: the array in itertools order, every row ranked at its
+    # position, every inverse-pair representative ranked below its inverse
+    mismatches = 0
+    for n in range(9):
+        rows = permutation_array(n).tolist()
+        mismatches += rows != [list(t) for t in itertools.permutations(range(n))]
+        mismatches += sum(permutation_index(t) != i for i, t in enumerate(rows))
+        pairs = inverse_pairs(n)
+        for pos, tau, own in zip(pairs.positions.tolist(), pairs.images,
+                                  pairs.involution.tolist()):
+            rank = permutation_index(np.argsort(tau))
+            mismatches += rank < pos or (rank == pos) != own
+    checks.append({
+        "name": "permutation-tables",
+        "pass": bool(mismatches == 0),
+        "mismatches": int(mismatches),
     })
     return checks

@@ -20,6 +20,7 @@ from multiphoton.bosonsampling import (
 from multiphoton.errors import SizeLimitError, ValidationError
 from multiphoton.jmatrix import min_eigenvalue, purity
 from multiphoton.spectral import IDEAL, gk_trace
+from multiphoton.symgroup import cycle_index
 
 
 def test_gamma_from_eta():
@@ -101,6 +102,28 @@ def test_j_entry_double_transposition_product_rule():
     direct = (1 - gamma) ** 2 * (1 - gamma**2) ** -1.0
     assert j_entry(gamma, (0, 2, 0, 0)) == pytest.approx(gk_closed(gamma, 2) ** 2)
     assert j_entry(gamma, (0, 2, 0, 0)) == pytest.approx(direct, abs=1e-12)
+
+
+def test_cycle_j_entry_beyond_enumeration_cap():
+    """A cycle J's entry at N = 12 is the value of the cycle type of
+    s2 s1^-1, here a 3-cycle and a transposition beside seven fixed points."""
+    n = 12
+    params = BSParams.from_gamma(n, 0.3)
+    jm = build_bs_jmatrix(params)
+    tau = np.arange(n)
+    tau[[0, 1, 2, 3, 4]] = (1, 2, 0, 4, 3)
+    s1 = np.random.default_rng(5).permutation(n)
+    ct = (7, 1, 1) + (0,) * 9
+    assert jm.entry(s1, tau[s1]) == jm.cycle_values[ct]
+    assert jm.entry(s1, tau[s1]).real == pytest.approx(j_entry(params, ct), rel=1e-14)
+
+
+def test_cycle_index_beyond_enumeration_cap():
+    """The cycle index sums over partitions, so it needs no cap: at N = 12,
+    (1 - g)^N Z_N(1/(1 - g^k)) is the closed-form Tr{(J/N!)^2}."""
+    n, gamma = 12, 0.4
+    z = cycle_index(n, [1.0 / (1.0 - gamma**k) for k in range(1, n + 1)])
+    assert (1.0 - gamma) ** n * z.real == pytest.approx(trace2_closed(n, gamma), rel=1e-12)
 
 
 def test_ensemble_jmatrix_psd():

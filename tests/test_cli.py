@@ -189,12 +189,13 @@ def test_verify_pass_and_fault_injection(tmp_path):
     assert json.loads(out.read_text())["all_pass"] is False
 
 
-def test_verify_checks_product_ensemble_against_photons_last(tmp_path):
+def test_verify_checks_product_ensemble_then_permutation_tables(tmp_path):
     out = tmp_path / "verify.json"
     assert run(["verify", "--seed", "7", "--out", str(out)]) == 0
-    last = json.loads(out.read_text())["checks"][-1]
-    assert last["name"] == "product-ensemble-vs-photons" and last["pass"] is True
-    assert last["max_discrepancy"] < 1e-12
+    product, tables = json.loads(out.read_text())["checks"][-2:]
+    assert product["name"] == "product-ensemble-vs-photons" and product["pass"] is True
+    assert product["max_discrepancy"] < 1e-12
+    assert tables == {"name": "permutation-tables", "pass": True, "mismatches": 0}
 
 
 def test_verify_deterministic(tmp_path):

@@ -1056,10 +1056,17 @@ def test_photon_count_validation():
         output_distribution("jmatrix", u, (1, 1), photons=[g])
 
 
-@pytest.mark.parametrize("engine", ["jmatrix", "general"])
+@pytest.mark.parametrize("engine", ["jmatrix", "general", "oracle"])
 def test_sweeps_refuse_different_photons_in_one_input_mode(engine):
     with pytest.raises(ValidationError, match="share input mode 0"):
         output_distribution(engine, fourier(2), (2, 0), photons=gaussians(0.0, 0.5))
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_from_photons_checks_photon_count(count):
+    g, h = GaussianState(0.0, 1.0, 0.0), GaussianState(0.0, 1.0, 1.5)
+    with pytest.raises(ValidationError, match=f"need 2 photons, got {count}"):
+        GeneralEnsemble.from_photons([g, h, g][:count], (1, 1))
 
 
 def test_distribution_dict_shape():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from multiphoton import symgroup
 from multiphoton.errors import SizeLimitError, ValidationError
 from multiphoton.symgroup import (
     Permutation,
@@ -262,6 +263,42 @@ def test_relative_cycle_type_matches_direct():
     for s1, s2 in itertools.product(perms[:8], perms[:8]):
         rel = s2 * s1.inverse()
         assert relative_cycle_type(s1.images, s2.images) == rel.cycle_type()
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_permutation_array_is_itertools_order(n):
+    nf = math.factorial(n)
+    expected = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))),
+                           dtype=np.intp, count=nf * n).reshape(nf, n)
+    assert np.array_equal(permutation_array(n), expected)
+
+
+def test_permutation_index_ranks_every_row_of_s8():
+    rows = permutation_array(8).tolist()
+    assert [permutation_index(t) for t in rows] == list(range(len(rows)))
+
+
+@pytest.mark.parametrize("images", [(0, 0, 1), (0, 2), (1, 2, 3)])
+def test_permutation_index_rejects_non_permutations(images):
+    with pytest.raises(ValidationError):
+        permutation_index(images)
+
+
+def test_s8_array_and_index_retain_only_the_array():
+    """S_8 is one 40320 x 8 intp array (2.5 MiB), ranked by its Lehmer code
+    with no tuple table or index dict beside it; every cached table is
+    dropped first."""
+    for cached in vars(symgroup).values():
+        if hasattr(cached, "cache_clear"):
+            cached.cache_clear()
+    tracemalloc.start()
+    try:
+        permutation_array(8)
+        permutation_index(range(7, -1, -1))
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert current <= 3 * 2**20
 
 
 def test_permutation_array_matches_enumeration():
