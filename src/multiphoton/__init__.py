@@ -21,7 +21,6 @@ from .errors import (
 from .jmatrix import (
     JMatrix,
     PurityResult,
-    ReducedJMatrix,
     build_cycle_compressed,
     build_extreme,
     build_mixed,

@@ -38,11 +38,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import SizeLimitError, ValidationError
-from .jmatrix import JMatrix, PurityResult, _normalized_purity, build_cycle_compressed
-from .spectral import IDEAL, DetectorModel, GaussianState, MixedState
+from .jmatrix import JMatrix, PurityResult, _cycle_jmatrix, _normalized_purity
+from .spectral import MixedState
 from .symgroup import cycle_index
 
 
@@ -134,11 +132,10 @@ def j_entry(params: BSParams | float, cycle_type: Sequence[int]) -> float:
 
 
 def build_bs_jmatrix(params: BSParams) -> JMatrix:
-    """Cycle-compressed J with closed-form g_k (already unit-diagonal)."""
-    from .symgroup import cycle_types
-
-    values = {ct: complex(j_entry(params, ct)) for ct, _ in cycle_types(params.n_photons)}
-    return JMatrix(params.n_photons, "cycle", cycle_values=values)
+    """Cycle-compressed J with closed-form g_k (already unit-diagonal): each
+    value is ``j_entry`` of its cycle type."""
+    gamma = params.gamma
+    return _cycle_jmatrix([gk_closed(gamma, k) for k in range(1, params.n_photons + 1)])
 
 
 def trace2_closed(n: int, gamma: float) -> float:

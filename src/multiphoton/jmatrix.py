@@ -12,13 +12,14 @@ the relative permutation s2 s1^{-1} into operator traces, and for identical
 sources with identical detectors it collapses to a function of the cycle type
 alone: J = prod_k g_k^{C_k}.
 
-A J has one of three storages. A pure build (``build_pure``,
-``build_extreme``) stores only its N per-slot Gram matrices
+``JMatrix`` is the one J type, with one of three storages. A pure build
+(``build_pure``, ``build_extreme``) stores only its N per-slot Gram matrices
 G_{l_alpha}[b, c] = <phi_b | Gamma_{l_alpha} | phi_c>, which determine every
 entry; a cycle-compressed build stores one value per cycle type; a mixed
 build (``build_mixed``) stores the dense matrix and is capped at
 N <= DENSE_CAP. ``as_dense`` materialises the first two on demand
-(N <= DENSE_CAP) and caches the result.
+(N <= DENSE_CAP) and caches the result. The reduced J of ``reduce_jmatrix``
+is a ``JMatrix`` too: a cycle J stays cycle, any other becomes dense.
 
 A mixed build traces each distinct cycle of S_N (``symgroup.cycle_table``)
 once per detector labelling, on blocks of the photons' own density
@@ -84,11 +85,30 @@ class JMatrix:
     slot_grams: np.ndarray | None = None  # [alpha, b, c] = <phi_b|Gamma_{l_alpha}|phi_c>
     output_modes: tuple[int, ...] | None = None  # l-list this J was built for
     detectors: tuple[DetectorModel, ...] | None = None  # per output slot
-    input_modes: tuple[int, ...] | None = None
 
-    @property
-    def order(self) -> int:
-        return math.factorial(self.n)
+    def __post_init__(self):
+        """Check the storage's payload by shape (by keys for a cycle J), not
+        by value: a sweep builds one J per output, and ``replace`` checks
+        again."""
+        if self.n < 0:
+            raise ValidationError(f"J needs N >= 0 photons, got {self.n}")
+        if self.storage == "cycle":
+            if (self.cycle_values is None
+                    or set(self.cycle_values) != {ct for ct, _ in cycle_types(self.n)}):
+                raise ValidationError(
+                    f"cycle J of N={self.n} needs one value per cycle type of S_{self.n}")
+            return
+        if self.storage == "dense":
+            payload, shape = self.dense, (math.factorial(self.n),) * 2
+        elif self.storage == "lazy":
+            payload, shape = self.slot_grams, (self.n,) * 3
+        else:
+            raise ValidationError(
+                f"J storage must be 'dense', 'cycle' or 'lazy', got {self.storage!r}")
+        if np.shape(payload) != shape:
+            raise ValidationError(
+                f"{self.storage} J of N={self.n} needs an array of shape {shape}, "
+                f"got {'none' if payload is None else np.shape(payload)}")
 
     @property
     def detector_dependent(self) -> bool:
@@ -98,7 +118,13 @@ class JMatrix:
         return len(set(dets)) > 1 and not all(d.is_ideal for d in dets)
 
     def entry(self, s1: Sequence[int], s2: Sequence[int]) -> complex:
-        """J(s1, s2) for image arrays s1, s2."""
+        """J(s1, s2) for image arrays s1, s2, which must be permutations of
+        0..N-1 (ValidationError otherwise) whatever the storage."""
+        for s in (s1, s2):
+            if sorted(s) != list(range(self.n)):
+                raise ValidationError(
+                    f"J of N={self.n} is indexed by permutations of 0..{self.n - 1}, "
+                    f"got {np.asarray(s).tolist()}")
         if self.storage == "dense":
             return complex(self.dense[permutation_index(s1), permutation_index(s2)])
         if self.storage == "cycle":
@@ -118,11 +144,7 @@ class JMatrix:
         if self.n > DENSE_CAP:
             raise SizeLimitError(f"dense J storage capped at N <= {DENSE_CAP}, got N={self.n}")
         if self.slot_grams is not None:
-            perms = permutation_array(self.n)
-            out = np.ones((len(perms),) * 2, dtype=complex)
-            for alpha in range(self.n):
-                idx = perms[:, alpha]
-                out *= self.slot_grams[alpha][idx[:, None], idx[None, :]]
+            out = _slot_product(self.slot_grams, permutation_array(self.n))
         else:  # cycle values: J(s1, s2) = J(id, s2 s1^-1)
             out = self.cycle_weights()[relative_positions(self.n)]
         self.dense = out
@@ -139,19 +161,29 @@ class JMatrix:
         return self.output_modes == tuple(output_modes)
 
 
-@dataclass
-class ReducedJMatrix:
-    """J rescaled by its diagonal: unit diagonal, |entries| <= 1."""
+def _slot_product(grams, rows: np.ndarray) -> np.ndarray:
+    """(P, P) products prod_alpha grams[alpha][rows[i, alpha], rows[j, alpha]]
+    over the columns of the (P, N) index rows: a pure J on permutation rows,
+    or its restriction to coset patterns (Tichy, PRA 91, 022316, 2015)."""
+    out = np.ones((len(rows),) * 2, dtype=complex)
+    for alpha, gram in enumerate(grams):
+        idx = rows[:, alpha]
+        out *= gram[idx[:, None], idx[None, :]]
+    return out
 
-    n: int
-    dense: np.ndarray | None = None
-    cycle_values: dict[tuple[int, ...], complex] | None = None
 
-    def as_dense(self) -> np.ndarray:
-        if self.dense is not None:
-            return self.dense
-        tmp = JMatrix(self.n, "cycle", cycle_values=self.cycle_values)
-        return tmp.as_dense()
+def _cycle_jmatrix(gk: Sequence[float], detectors: tuple[DetectorModel, ...] | None = None
+                   ) -> JMatrix:
+    """The cycle J of N = len(gk) photons: J(s1, s2) = prod_k g_k^{C_k} with
+    C the cycle type of s2 s1^{-1}, one value per cycle type."""
+    values: dict[tuple[int, ...], complex] = {}
+    for counts, _ in cycle_types(len(gk)):
+        val = 1.0
+        for k, c in enumerate(counts, start=1):
+            if c:
+                val *= gk[k - 1] ** c
+        values[counts] = complex(val)
+    return JMatrix(len(gk), "cycle", cycle_values=values, detectors=detectors)
 
 
 @dataclass(frozen=True)
@@ -199,22 +231,19 @@ def build_pure(states: Sequence[PureState], detectors: Sequence[DetectorModel], 
     detectors = _check_slot_detectors(len(states), detectors)
     _validate_block_states(states, input_modes)
     grams = {det: gram_matrix(states, det) for det in set(detectors)}
-    return _pure_from_grams(grams, detectors, output_modes=output_modes,
-                            input_modes=input_modes)
+    return _pure_from_grams(grams, detectors, output_modes=output_modes)
 
 
 def _pure_from_grams(grams: dict[DetectorModel, np.ndarray],
                      detectors: tuple[DetectorModel, ...], *,
-                     output_modes: Sequence[int] | None = None,
-                     input_modes: Sequence[int] | None = None) -> JMatrix:
+                     output_modes: Sequence[int] | None = None) -> JMatrix:
     """The pure J of checked slot detectors from the Gram of each detector,
     so that a sweep over outputs computes each Gram once."""
     n = len(detectors)
     slot_grams = np.array([grams[d] for d in detectors], dtype=complex).reshape(n, n, n)
     return JMatrix(n, "lazy", slot_grams=slot_grams,
                    output_modes=tuple(output_modes) if output_modes is not None else None,
-                   detectors=detectors,
-                   input_modes=tuple(input_modes) if input_modes is not None else None)
+                   detectors=detectors)
 
 
 def _photon_blocks(states: Sequence[PureState | MixedState],
@@ -295,8 +324,7 @@ def build_mixed(states: Sequence[PureState | MixedState],
         dense += weight * weights[labelling[None, :], relative_positions(n)]
     return JMatrix(n, "dense", dense=dense,
                    output_modes=tuple(output_modes) if output_modes is not None else None,
-                   detectors=detectors,
-                   input_modes=tuple(input_modes) if input_modes is not None else None)
+                   detectors=detectors)
 
 
 def _labelled_cycle_weights(states, detectors,
@@ -341,15 +369,8 @@ def build_cycle_compressed(rho: PureState | MixedState, det: DetectorModel,
     J(s1, s2) = prod_k g_k^{C_k(s2 s1^{-1})} with g_k = Tr{(sqrt(G) rho sqrt(G))^k}."""
     if n < 1:
         raise ValidationError("need at least one photon")
-    gk = [spectral.gk_trace(rho, det, k) for k in range(1, n + 1)]
-    values: dict[tuple[int, ...], complex] = {}
-    for counts, _ in cycle_types(n):
-        val = 1.0
-        for k, c in enumerate(counts, start=1):
-            if c:
-                val *= gk[k - 1] ** c
-        values[counts] = complex(val)
-    return JMatrix(n, "cycle", cycle_values=values, detectors=(det,) * n)
+    return _cycle_jmatrix([spectral.gk_trace(rho, det, k) for k in range(1, n + 1)],
+                          (det,) * n)
 
 
 def build_extreme(kind: str, occupation: Sequence[int],
@@ -396,14 +417,18 @@ def build_extreme(kind: str, occupation: Sequence[int],
 # -- reductions and measures ----------------------------------------------------
 
 
-def reduce_jmatrix(jm: JMatrix) -> ReducedJMatrix:
-    """J_hat = D^{-1/2} J D^{-1/2}: unit diagonal, |entries| <= 1."""
+def reduce_jmatrix(jm: JMatrix) -> JMatrix:
+    """J_hat = D^{-1/2} J D^{-1/2}: unit diagonal, |entries| <= 1, as a
+    ``JMatrix`` with the output context of J. A cycle J stays cycle (its
+    values divided by the identity's); a dense or lazy J becomes dense
+    (N <= DENSE_CAP). Reducing a reduced J returns the same values."""
     if jm.storage == "cycle":
         ident = jm.cycle_values[_identity_cycle_type(jm.n)]
         if ident.real <= 0:
             raise DegenerateDetectionError("cycle-compressed J has vanishing diagonal")
         values = {ct: v / ident for ct, v in jm.cycle_values.items()}
-        return ReducedJMatrix(jm.n, cycle_values=values)
+        return JMatrix(jm.n, "cycle", cycle_values=values,
+                       output_modes=jm.output_modes, detectors=jm.detectors)
     dense = jm.as_dense()
     diag = np.real(np.diagonal(dense)).copy()
     bad = np.nonzero(diag <= 0.0)[0]
@@ -418,7 +443,8 @@ def reduce_jmatrix(jm: JMatrix) -> ReducedJMatrix:
     np.fill_diagonal(reduced, 1.0)
     if np.max(np.abs(reduced)) > 1.0 + 1e-9:
         raise ValidationError("reduced J has |entries| > 1; input J was not PSD")
-    return ReducedJMatrix(jm.n, dense=reduced)
+    return JMatrix(jm.n, "dense", dense=reduced,
+                   output_modes=jm.output_modes, detectors=jm.detectors)
 
 
 def mandel_visibility(rho1: PureState | MixedState, rho2: PureState | MixedState,
@@ -436,23 +462,17 @@ def mandel_visibility(rho1: PureState | MixedState, rho2: PureState | MixedState
     return complex(j[1, 0] / math.sqrt(j_ii * j_tt))
 
 
-def purity(jm: JMatrix | ReducedJMatrix) -> PurityResult:
+def purity(jm: JMatrix) -> PurityResult:
     """Normalized purity P = (N!/(N!-1)) (Tr{(J_hat/N!)^2} - 1/N!).
 
-    Accepts a raw J (reduced internally) or an already reduced matrix. The
-    cycle-compressed path sums over cycle types with class sizes
-    N!/prod(k^{C_k} C_k!) and works for N <= 30.
+    J is reduced first (``reduce_jmatrix``), which leaves an already reduced
+    J unchanged. The cycle-compressed path sums over cycle types with class
+    sizes N!/prod(k^{C_k} C_k!) and works for N <= 30.
     """
-    n = jm.n
-    if isinstance(jm, JMatrix):
-        if jm.storage == "cycle":
-            red = reduce_jmatrix(jm)
-            return _purity_from_cycle(n, red.cycle_values)
-        red = reduce_jmatrix(jm)
-        return _purity_from_dense(n, red.dense)
-    if jm.cycle_values is not None:
-        return _purity_from_cycle(n, jm.cycle_values)
-    return _purity_from_dense(n, jm.dense)
+    red = reduce_jmatrix(jm)
+    if red.storage == "cycle":
+        return _purity_from_cycle(jm.n, red.cycle_values)
+    return _purity_from_dense(jm.n, red.dense)
 
 
 def _normalized_purity(n: int, trace2: float) -> PurityResult:
@@ -484,7 +504,7 @@ def _purity_from_cycle(n: int, values: dict[tuple[int, ...], complex]) -> Purity
 # -- checks and serialization ----------------------------------------------------
 
 
-def min_eigenvalue(jm: JMatrix | ReducedJMatrix) -> float:
+def min_eigenvalue(jm: JMatrix) -> float:
     dense = jm.as_dense()
     return float(np.linalg.eigvalsh(dense)[0])
 

@@ -664,7 +664,7 @@ def _jmatrix_sweep(photons: Sequence[PureState | MixedState],
     _validate_block_states(states, ks)
     grams = {det: gram_matrix(states, det) for det in set().union(*slot_dets)}
     for i, (m_occ, dets) in enumerate(zip(outputs, slot_dets)):
-        jm = _pure_from_grams(grams, dets, output_modes=mode_list(m_occ), input_modes=ks)
+        jm = _pure_from_grams(grams, dets, output_modes=mode_list(m_occ))
         results[i] = prob_jmatrix(jm, u, n_occ, m_occ)
     return results, len(grams), 0
 

@@ -187,61 +187,60 @@ def _gauss_quadratic(a, b):
 
 def overlap(a: PureState, det: DetectorModel, b: PureState) -> complex:
     """Detector-weighted overlap <a| Gamma |b>."""
-    if isinstance(a, GaussianState) and isinstance(b, GaussianState):
-        if det.kind == "matrix":
-            raise IncompatibleRepresentationError(
-                "matrix detectors act on finite-rank states, not Gaussian ones"
-            )
-        if a.pol != b.pol:
-            return 0.0 + 0.0j
-        return complex(_gauss_quadratic(_gauss_shares(a, det), _gauss_shares(b, det)))
-    if isinstance(a, FiniteRankState) and isinstance(b, FiniteRankState):
-        if a.rank != b.rank:
-            raise IncompatibleRepresentationError(
-                f"finite-rank states live in different spaces ({a.rank} vs {b.rank})"
-            )
-        if det.kind in ("ideal", "flat"):
-            return complex(det.eta if det.kind == "flat" else 1.0) * complex(
-                np.vdot(a.coeffs, b.coeffs)
-            )
-        if det.kind == "matrix":
-            m = det.matrix
-            if m.shape[0] != a.rank:
-                raise IncompatibleRepresentationError(
-                    f"detector operator is {m.shape[0]}-dimensional, states are {a.rank}"
-                )
-            return complex(np.vdot(a.coeffs, m @ b.coeffs))
-        raise IncompatibleRepresentationError(
-            f"detector kind {det.kind!r} has no action on finite-rank states"
-        )
-    raise IncompatibleRepresentationError(
-        f"cannot overlap {type(a).__name__} with {type(b).__name__}"
-    )
+    return complex(gram_matrix([a, b], det)[0, 1])
 
 
 def gram_matrix(states: Sequence[PureState], det: DetectorModel | None = None) -> np.ndarray:
     """Hermitian PSD matrix of detector-weighted pairwise overlaps.
 
-    Gaussian states are evaluated over the whole pair grid at once; the
-    upper triangle is mirrored, so the result is exactly Hermitian with a
-    real diagonal, and states of different polarization do not overlap."""
+    Gaussian states are evaluated over the whole pair grid at once, and
+    finite-rank states as one C^dagger Gamma C of their coefficient columns
+    C. The upper triangle is mirrored, so the result is exactly Hermitian
+    with a real diagonal, and Gaussian states of different polarization do
+    not overlap. The states must share one representation (and one rank),
+    and the detector must act on it (IncompatibleRepresentationError)."""
     det = det or IDEAL
     n = len(states)
-    if n and det.kind != "matrix" and all(isinstance(s, GaussianState) for s in states):
+    if n == 0:
+        return np.empty((0, 0), dtype=complex)
+    if all(isinstance(s, GaussianState) for s in states):
+        if det.kind == "matrix":
+            raise IncompatibleRepresentationError(
+                "matrix detectors act on finite-rank states, not Gaussian ones"
+            )
         a, b, c, p = np.array([_gauss_shares(s, det) for s in states]).T
         a, c, p = a.real, c.real, p.real
         g = _gauss_quadratic((a[:, None], b[:, None], c[:, None], p[:, None]), (a, b, c, p))
-        pol, rows = np.array([s.pol for s in states]), np.arange(n)
+        pol = np.array([s.pol for s in states])
         g *= pol[:, None] == pol
-        return np.where(rows[:, None] <= rows, g, g.T.conj())  # the upper triangle, mirrored
-    g = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        g[i, i] = overlap(states[i], det, states[i]).real
-        for j in range(i + 1, n):
-            val = overlap(states[i], det, states[j])
-            g[i, j] = val
-            g[j, i] = np.conj(val)
-    return g
+    elif all(isinstance(s, FiniteRankState) for s in states):
+        ranks = sorted({s.rank for s in states})
+        if len(ranks) > 1:
+            raise IncompatibleRepresentationError(
+                f"finite-rank states live in different spaces (ranks {ranks})"
+            )
+        cols = np.array([s.coeffs for s in states]).T  # (rank, n)
+        if det.kind in ("ideal", "flat"):
+            g = cols.conj().T @ cols
+            if det.kind == "flat":
+                g *= det.eta
+        elif det.kind == "matrix":
+            m = det.matrix
+            if m.shape[0] != ranks[0]:
+                raise IncompatibleRepresentationError(
+                    f"detector operator is {m.shape[0]}-dimensional, states are {ranks[0]}"
+                )
+            g = cols.conj().T @ (m @ cols)
+        else:
+            raise IncompatibleRepresentationError(
+                f"detector kind {det.kind!r} has no action on finite-rank states"
+            )
+        np.fill_diagonal(g, g.diagonal().real)
+    else:
+        kinds = sorted({type(s).__name__ for s in states})
+        raise IncompatibleRepresentationError(f"cannot overlap {' with '.join(kinds)}")
+    rows = np.arange(n)
+    return np.where(rows[:, None] <= rows, g, g.T.conj())  # the upper triangle, mirrored
 
 
 def gram_factor(gram: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from .permanent import (
 )
 from .probability import GeneralEnsemble, output_distribution
 from .spectral import IDEAL, DetectorModel, FiniteRankState, GaussianState, MixedState
-from .symgroup import inverse_pairs, permutation_array, permutation_index
+from .symgroup import _lehmer_rank, inverse_pairs, permutation_array, permutation_index
 
 
 def random_instance(rng: np.random.Generator, kind: str = "gaussian",
@@ -200,16 +200,22 @@ def run_checks(seed: int = 7, inject_fault: bool = False) -> list[dict]:
     })
 
     # S_N tables: the array in itertools order, every row ranked at its
-    # position, every inverse-pair representative ranked below its inverse
+    # position (all rows through the Lehmer rank, one through
+    # permutation_index), every inverse-pair representative at or below its
+    # inverse, whose position is looked up in the itertools order
     mismatches = 0
     for n in range(9):
-        rows = permutation_array(n).tolist()
-        mismatches += rows != [list(t) for t in itertools.permutations(range(n))]
-        mismatches += sum(permutation_index(t) != i for i, t in enumerate(rows))
+        perms = permutation_array(n)
+        reference = list(itertools.permutations(range(n)))
+        mismatches += perms.tolist() != [list(t) for t in reference]
+        mismatches += int(np.count_nonzero(_lehmer_rank(perms) != np.arange(len(perms))))
+        mismatches += permutation_index(reference[-1]) != len(reference) - 1
+        position = {t: i for i, t in enumerate(reference)}
         pairs = inverse_pairs(n)
-        for pos, tau, own in zip(pairs.positions.tolist(), pairs.images,
-                                  pairs.involution.tolist()):
-            rank = permutation_index(np.argsort(tau))
+        for pos, inverse, own in zip(pairs.positions.tolist(),
+                                     np.argsort(pairs.images, axis=1).tolist(),
+                                     pairs.involution.tolist()):
+            rank = position[tuple(inverse)]
             mismatches += rank < pos or (rank == pos) != own
     checks.append({
         "name": "permutation-tables",

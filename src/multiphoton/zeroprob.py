@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SizeLimitError, ValidationError
-from .jmatrix import build_pure
+from .jmatrix import _slot_product, build_pure
 from .network import enumerate_outputs, mode_list, mu
 from .permanent import permanent_ryser, zero_threshold
 from .probability import (JMATRIX_MAX_N, ProbabilityResult, _finalize, _slot_detectors,
@@ -189,13 +189,7 @@ def prob_group_factorized(u: np.ndarray, spec: GroupSpec, m_occ: Sequence[int],
 
     grams = {d: spec.gram(d) for d in set(slot_dets)}
     yvec = np.asarray(amps)
-    npat = len(patterns)
-    jr = np.ones((npat, npat), dtype=complex)
-    parr = np.asarray(patterns, dtype=np.intp)
-    for alpha in range(n):
-        g = grams[slot_dets[alpha]]
-        idx = parr[:, alpha]
-        jr *= g[idx[:, None], idx[None, :]]
+    jr = _slot_product([grams[d] for d in slot_dets], np.asarray(patterns, dtype=np.intp))
     raw = np.vdot(yvec, jr @ yvec) / (mu(m_occ) * mu(n_occ))
     result = _finalize(raw, m_occ, "group-factorized")
     return result, amps

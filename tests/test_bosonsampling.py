@@ -20,7 +20,7 @@ from multiphoton.bosonsampling import (
 from multiphoton.errors import SizeLimitError, ValidationError
 from multiphoton.jmatrix import min_eigenvalue, purity
 from multiphoton.spectral import IDEAL, gk_trace
-from multiphoton.symgroup import cycle_index
+from multiphoton.symgroup import cycle_index, cycle_types
 
 
 def test_gamma_from_eta():
@@ -116,6 +116,16 @@ def test_cycle_j_entry_beyond_enumeration_cap():
     ct = (7, 1, 1) + (0,) * 9
     assert jm.entry(s1, tau[s1]) == jm.cycle_values[ct]
     assert jm.entry(s1, tau[s1]).real == pytest.approx(j_entry(params, ct), rel=1e-14)
+
+
+def test_bs_jmatrix_values_are_j_entry():
+    """The cycle J holds j_entry exactly, one value for every cycle type."""
+    for gamma in (0.0, 0.3, 0.9):
+        params = BSParams.from_gamma(6, gamma)
+        values = build_bs_jmatrix(params).cycle_values
+        assert values.keys() == {ct for ct, _ in cycle_types(6)}
+        for ct, value in values.items():
+            assert value == complex(j_entry(params, ct))
 
 
 def test_cycle_index_beyond_enumeration_cap():

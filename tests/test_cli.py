@@ -198,6 +198,16 @@ def test_verify_checks_product_ensemble_then_permutation_tables(tmp_path):
     assert tables == {"name": "permutation-tables", "pass": True, "mismatches": 0}
 
 
+def test_permutation_tables_check_flags_a_wrong_rank(monkeypatch):
+    """The vectorised rank comparison of the check sees a ranker that is off."""
+    from multiphoton import symgroup, verify
+
+    monkeypatch.setattr(verify, "_lehmer_rank",
+                        lambda images: symgroup._lehmer_rank(images[..., ::-1]))
+    tables = verify.run_checks(seed=7)[-1]
+    assert tables["name"] == "permutation-tables" and tables["mismatches"] > 0
+
+
 def test_verify_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert run(["verify", "--seed", "3", "--out", str(a)]) == 0

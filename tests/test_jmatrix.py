@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from multiphoton.errors import DegenerateDetectionError, ValidationError
 from multiphoton.jmatrix import (
+    JMatrix,
     build_cycle_compressed,
     build_extreme,
     build_mixed,
@@ -440,3 +442,66 @@ def test_dump_jmatrix_forms():
     jc = build_cycle_compressed(g, IDEAL, 2)
     dc = dump_jmatrix(jc)
     assert "cycleCompressed" in dc
+
+
+# -- one checked J type ------------------------------------------------------------
+
+
+def three_storages():
+    """One J of N = 3 in each storage."""
+    lazy = build_pure([GaussianState(0.3 * a, 1.0, 0.4 * a) for a in range(3)], ideal_slots(3))
+    rho = MixedState.gaussian_time_jitter(0.0, 1.0, 0.5, nodes=6)
+    return {"lazy": lazy, "dense": JMatrix(3, "dense", dense=lazy.as_dense()),
+            "cycle": build_cycle_compressed(rho, IDEAL, 3)}
+
+
+@pytest.mark.parametrize("storage", ["dense", "cycle", "lazy"])
+@pytest.mark.parametrize("s1, s2", [
+    ((0, 1), (1, 0)),
+    ((0, 1, 2, 3), (0, 1, 2, 3)),
+    ((0, 0, 1), (0, 1, 2)),
+    ((0, 1, 2), (0, 1, 3)),
+], ids=["short", "long", "repeated", "out-of-range"])
+def test_entry_rejects_non_permutations(storage, s1, s2):
+    with pytest.raises(ValidationError):
+        three_storages()[storage].entry(s1, s2)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(storage="dense", dense=np.eye(2)),
+    dict(storage="dense"),
+    dict(storage="lazy", slot_grams=np.ones((2, 2, 2))),
+    dict(storage="lazy", dense=np.eye(6)),
+    dict(storage="cycle", cycle_values={(3, 0, 0): 1.0}),
+    dict(storage="cycle", cycle_values={(2, 0): 1.0, (0, 1): 0.5}),
+    dict(storage="foo"),
+])
+def test_construction_checks_the_payload(kwargs):
+    with pytest.raises(ValidationError):
+        JMatrix(3, **kwargs)
+
+
+def test_replace_checks_the_payload_again():
+    jm = build_pure([GaussianState(0.0, 1.0, 0.0)] * 2, ideal_slots(2))
+    assert replace(jm, output_modes=(0, 1)).output_modes == (0, 1)
+    with pytest.raises(ValidationError):
+        replace(jm, n=3)
+
+
+def test_reduced_j_is_a_jmatrix_and_purity_reduces_once(rng):
+    rho = MixedState.gaussian_time_jitter(0.0, 1.0, 0.5, nodes=6)
+    other = MixedState.gaussian_time_jitter(0.2, 1.0, 0.3, nodes=4)
+    band = DetectorModel.gaussian_band(0.1, 2.0, 0.9)
+    cases = {
+        "cycle": build_cycle_compressed(rho, band, 4),
+        "lazy": build_pure(random_gaussians(rng, 4), (band, IDEAL, band, IDEAL)),
+        "dense": build_mixed([rho, other, rho], (band, IDEAL, band)),
+    }
+    for storage, jm in cases.items():
+        red = reduce_jmatrix(jm)
+        assert isinstance(red, JMatrix)
+        assert red.storage == ("cycle" if storage == "cycle" else "dense")
+        assert red.detectors == jm.detectors
+        assert purity(red) == purity(jm)
+        again = reduce_jmatrix(red)
+        assert np.array_equal(again.as_dense(), red.as_dense())

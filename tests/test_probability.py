@@ -494,7 +494,7 @@ def test_tau_route_matches_dense_quadratic_form(n):
         assert jm.slot_grams is not None and jm.dense is None
         p = prob_jmatrix(jm, u, n_occ, m_occ).p
         dense = JMatrix(n, "dense", dense=jm.as_dense(), output_modes=jm.output_modes,
-                        detectors=jm.detectors, input_modes=jm.input_modes)
+                        detectors=jm.detectors)
         x = _path_products(u, n_occ, m_occ)
         expected = np.vdot(x, dense.dense @ x).real / (mu(n_occ) * mu(m_occ))
         assert abs(p - expected) <= 1e-12
@@ -851,7 +851,7 @@ def test_tau_route_property_matches_dense_quadratic_form(case):
     assert jm.storage != "dense"
     p = prob_jmatrix(jm, u, n_occ, m_occ).p
     dense = JMatrix(jm.n, "dense", dense=jm.as_dense(), output_modes=jm.output_modes,
-                    detectors=jm.detectors, input_modes=jm.input_modes)
+                    detectors=jm.detectors)
     x = _path_products(u, n_occ, m_occ)
     expected = np.vdot(x, dense.dense @ x).real / (mu(n_occ) * mu(m_occ))
     assert abs(p - expected) <= 1e-12

@@ -190,6 +190,45 @@ def test_gaussian_gram_grid_matches_scalar_overlaps(det):
     assert np.all(g[pol[:, None] != pol] == 0)
 
 
+def random_operator(rng, dim):
+    """A Hermitian detector operator with eigenvalues in [0, 1]."""
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    m = (q * rng.uniform(0.0, 1.0, dim)) @ q.conj().T
+    return DetectorModel.operator(0.5 * (m + m.conj().T))
+
+
+@pytest.mark.parametrize("kind", ["ideal", "flat", "matrix"])
+def test_finite_rank_gram_matches_pairwise_forms(kind):
+    """The finite-rank Gram, one C^dagger Gamma C, equals the per-pair forms
+    <a|Gamma|b> = vdot(a, Gamma b), is exactly Hermitian with a real
+    diagonal, and overlap reads its entries."""
+    rng = np.random.default_rng(5)
+    dim = 4
+    det = {"ideal": IDEAL, "flat": DetectorModel.flat(0.6),
+           "matrix": random_operator(rng, dim)}[kind]
+    op = det.matrix if kind == "matrix" else det.eta * np.eye(dim)
+    vecs = rng.standard_normal((7, dim)) + 1j * rng.standard_normal((7, dim))
+    states = [FiniteRankState(v / np.linalg.norm(v)) for v in vecs]
+    g = gram_matrix(states, det)
+    want = np.array([[np.vdot(a.coeffs, op @ b.coeffs) for b in states] for a in states])
+    assert np.max(np.abs(g - want)) <= 1e-14
+    assert np.array_equal(g, g.conj().T)
+    assert np.all(g.diagonal().imag == 0)
+    assert overlap(states[1], det, states[4]) == g[1, 4]
+
+
+def test_gram_matrix_representation_errors():
+    f2, f3 = FiniteRankState([1.0, 0.0]), FiniteRankState([0.0, 0.0, 1.0])
+    g = GaussianState(0.0, 1.0)
+    for states, det in [([f2, f3], IDEAL),                                # two ranks
+                        ([f2, f2], DetectorModel.operator(np.eye(3))),    # operator dimension
+                        ([f2, g], IDEAL),                                 # two representations
+                        ([f2], DetectorModel.gaussian_band(0.0, 1.0)),    # no action
+                        ([g, g], DetectorModel.operator(np.eye(1)))]:     # matrix on Gaussian
+        with pytest.raises(IncompatibleRepresentationError):
+            gram_matrix(states, det)
+
+
 def test_gram_psd(rng):
     states = [
         GaussianState(float(rng.normal()), 1.0, float(rng.normal())) for _ in range(4)
