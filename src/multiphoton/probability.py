@@ -20,16 +20,20 @@ differ in the route:
 * prob_classical: the Markov-chain form for maximally distinguishable photons;
 * prob_ideal_indistinguishable: |per(U[n|m])|^2 / (mu mu);
 * prob_oracle: direct expansion of both vacuum expectation values through the
-  permutation-sum identity, draw by draw for photons and product ensembles;
-  slow, independent of every other engine, and the arbiter when they
-  disagree.
+  permutation-sum identity, component by component for photons and product
+  ensembles; slow, independent of every other engine, and the arbiter when
+  they disagree.
 
-The permanent engine and the product fold share one route: each draw of N
-pure slot states takes the rows of S(j) from factors R_l^dagger R_l = G_l of
-its Gamma_l-weighted Grams (Tichy, PRA 91, 022316, 2015), sub-blocks of one
-Gram per detector over the distinct states of all draws. A product ensemble
-is its draws: photons given to the general engine's sweep and their
-from_photons ensemble take the same route, for any occupancy.
+Photons are their product ensemble: GeneralEnsemble.from_photons is the only
+place where photons become draws, and the permanent, general and oracle
+engines check their photons or ensemble in one place (_checked_ensemble),
+so they accept and refuse the same spectral input. The permanent engine
+and the product fold share one route: each draw of N pure slot states
+takes the rows of S(j) from factors R_l^dagger R_l = G_l of its
+Gamma_l-weighted Grams (Tichy, PRA 91, 022316, 2015), sub-blocks of one
+Gram per detector over the distinct states of all draws.
+
+Every engine raises EngineError on a non-finite probability.
 
 Multiplicity factors mu(n), mu(m) live here and nowhere else.
 """
@@ -92,6 +96,8 @@ class ProbabilityResult:
 def _finalize(raw: complex, m_occ: Sequence[int], engine: str,
               imag_tol: float = IMAG_RESIDUAL_TOL) -> ProbabilityResult:
     raw = complex(raw)
+    if not (math.isfinite(raw.real) and math.isfinite(raw.imag)):
+        raise EngineError(f"{engine}: non-finite probability {raw}")
     if abs(raw.imag) > imag_tol * max(1.0, abs(raw.real)):
         raise EngineError(f"{engine}: imaginary residual {raw.imag:.3e} exceeds {imag_tol:g}")
     p = raw.real
@@ -317,28 +323,6 @@ def _fold_output(setup: _FoldSetup, slot_dets: tuple[DetectorModel, ...],
     return _finalize(total / (mu(n_occ) * mu(m_occ)), m_occ, engine)
 
 
-def _photon_setup(photons: Sequence[PureState | MixedState], n_occ,
-                  detectors) -> _FoldSetup:
-    """``_gram_draws`` over the mode-correlated draws of checked photons:
-    one per slot, and the same state on the slots of one input mode."""
-    n = sum(n_occ)
-    if len(photons) != n:
-        raise ValidationError(f"need {n} photons, got {len(photons)}")
-    _validate_block_states(photons, mode_list(n_occ))
-    return _gram_draws(_mode_correlated_draws(photons, n_occ) if n else (), detectors)
-
-
-def _permanent_setup(photons: Sequence[PureState | MixedState], n_occ,
-                     detectors) -> _FoldSetup:
-    """``_photon_setup`` for single-occupancy inputs only."""
-    if any(c > 1 for c in n_occ):
-        raise UnsupportedInputError(
-            "prob_permanent_basis needs a single photon or vacuum per input mode; "
-            "use prob_jmatrix or prob_general for multi-occupancy inputs"
-        )
-    return _photon_setup(photons, n_occ, detectors)
-
-
 def prob_permanent_basis(photons: Sequence[PureState | MixedState],
                          detectors: Sequence[DetectorModel] | None,
                          u: np.ndarray, n_occ, m_occ) -> ProbabilityResult:
@@ -349,8 +333,8 @@ def prob_permanent_basis(photons: Sequence[PureState | MixedState],
     density operator)."""
     n_occ, m_occ, _ = _sizes(n_occ, m_occ, u.shape[0])
     slot_dets = _slot_detectors(detectors, m_occ, u.shape[0])
-    draws = _permanent_setup(photons, n_occ, set(slot_dets))
-    return _fold_output(draws, slot_dets, u, n_occ, m_occ, "permanent")
+    setup = _spectral_setup("permanent", photons, n_occ, set(slot_dets))
+    return _fold_output(setup, slot_dets, u, n_occ, m_occ, "permanent")
 
 
 def _slot_detectors(detectors: Sequence[DetectorModel] | None, m_occ,
@@ -362,25 +346,6 @@ def _slot_detectors(detectors: Sequence[DetectorModel] | None, m_occ,
     if len(detectors) != modes:
         raise ValidationError(f"need one detector per mode: {len(detectors)} != {modes}")
     return tuple(detectors[l] for l in mode_list(m_occ))
-
-
-def _mode_correlated_draws(photons: Sequence[PureState | MixedState], n_occ):
-    """(weight, pure state list) draws with one ensemble draw per input mode:
-    photons sharing a mode fluctuate together, different modes independently.
-    For single-occupancy inputs this is the ordinary per-photon product."""
-    ks = mode_list(n_occ)
-    groups: dict[int, list[int]] = {}
-    for slot, mode in enumerate(ks):
-        groups.setdefault(mode, []).append(slot)
-    blocks = list(groups.values())
-    axes = [pure_components(photons[slots[0]]) for slots in blocks]
-    for combo in itertools.product(*axes):
-        weight = math.prod(w for w, _ in combo)
-        slot_states: list[PureState] = [None] * len(ks)  # type: ignore[list-item]
-        for slots, (_, drawn) in zip(blocks, combo):
-            for s in slots:
-                slot_states[s] = drawn
-        yield weight, slot_states
 
 
 # -- general ensemble engine -----------------------------------------------------
@@ -396,7 +361,9 @@ class GeneralEnsemble:
     * with ``basis`` None, a product C = c_1 x ... x c_N given by its N slot
       states, as ``from_photons`` builds it.
 
-    Every component describes the same number of photons."""
+    Every component describes the same number of photons, and the weights
+    are finite, nonnegative and sum to 1 within 1e-12 per photon, the bound
+    of each ``MixedState``."""
 
     basis: SpanBasis | None
     components: tuple[tuple[float, np.ndarray | tuple[PureState, ...]], ...]
@@ -404,6 +371,14 @@ class GeneralEnsemble:
     def __post_init__(self):
         if len(slots := {self._slots(c) for _, c in self.components}) > 1:
             raise ValidationError(f"components describe different photon numbers {sorted(slots)}")
+        if not self.components:
+            raise ValidationError("ensemble needs at least one component")
+        weights = [w for w, _ in self.components]
+        if not all(math.isfinite(w) and w >= 0 for w in weights):
+            raise ValidationError("ensemble weights must be finite and nonnegative")
+        total = sum(weights)
+        if abs(total - 1.0) > 1e-12 * max(1, self.n):
+            raise ValidationError(f"ensemble weights must sum to 1 within 1e-12 per photon, got {total}")
 
     def _slots(self, component) -> int:
         return len(component) if self.basis is None else np.ndim(component)
@@ -415,16 +390,24 @@ class GeneralEnsemble:
     @staticmethod
     def from_photons(photons: Sequence[PureState | MixedState],
                      n_occ: Sequence[int] | None = None) -> "GeneralEnsemble":
-        """Product-form ensemble: every mode-correlated ensemble draw is one
-        component, its N slot states with weight prod p. Without an
-        occupation vector every photon occupies its own mode (independent
-        draws)."""
+        """Product-form ensemble of checked photons, the only place where
+        photons become draws: one ensemble draw per input mode (photons
+        sharing a mode fluctuate together, different modes independently),
+        each one component, its N slot states with weight prod p. Photons
+        in one input mode must carry the same state (ValidationError).
+        Without an occupation vector every photon occupies its own mode
+        (independent draws)."""
         if n_occ is None:
             n_occ = (1,) * len(photons)
         if len(photons) != sum(n_occ):
             raise ValidationError(f"need {sum(n_occ)} photons, got {len(photons)}")
-        return GeneralEnsemble(None, tuple((weight, tuple(states)) for weight, states
-                                           in _mode_correlated_draws(photons, n_occ)))
+        _validate_block_states(photons, mode_list(n_occ))
+        blocks = mode_subgroup_blocks(n_occ)
+        axes = [pure_components(photons[block[0]]) for block in blocks]
+        return GeneralEnsemble(None, tuple(
+            (math.prod(w for w, _ in draw),
+             tuple(state for block, (_, state) in zip(blocks, draw) for _ in block))
+            for draw in itertools.product(*axes)))
 
     def validate_symmetry(self, n_occ, tol: float = 1e-10) -> None:
         """The G-function symmetry: C invariant under permutations of tensor
@@ -444,6 +427,21 @@ class GeneralEnsemble:
                         )
 
 
+def _checked_ensemble(spectral: Sequence[PureState | MixedState] | GeneralEnsemble,
+                      n_occ) -> GeneralEnsemble:
+    """The spectral input of the ``permanent``, ``general`` and ``oracle``
+    engines as one checked ensemble: photons become their ``from_photons``
+    ensemble; a given ensemble must describe |n| photons and pass
+    ``validate_symmetry``."""
+    if not isinstance(spectral, GeneralEnsemble):
+        return GeneralEnsemble.from_photons(spectral, n_occ)
+    n = sum(n_occ)
+    if spectral.n != n:
+        raise ValidationError(f"ensemble describes {spectral.n} photons, instance has {n}")
+    spectral.validate_symmetry(n_occ)
+    return spectral
+
+
 @dataclass(frozen=True)
 class _TensorSetup:
     """Set-up of the general engine's tensor route: ``rows[det]`` is
@@ -455,19 +453,22 @@ class _TensorSetup:
     coeffs: np.ndarray
 
 
-def _general_setup(ensemble: GeneralEnsemble, n_occ, detectors) -> _FoldSetup | _TensorSetup:
-    """The product fold's draws for product components, else a
-    ``_TensorSetup`` (capped at r^N <= TENSOR_MAX_ENTRIES), after the
-    input-mode symmetry check of the components."""
-    n = sum(n_occ)
-    if ensemble.n != n:
-        raise ValidationError(f"ensemble describes {ensemble.n} photons, instance has {n}")
-    if ensemble.basis is not None and ensemble.basis.rank**n > TENSOR_MAX_ENTRIES:
-        raise SizeLimitError(f"r^N = {ensemble.basis.rank**n} exceeds "
-                             f"TENSOR_MAX_ENTRIES = {TENSOR_MAX_ENTRIES}")
-    ensemble.validate_symmetry(n_occ)
+def _spectral_setup(engine: str, spectral, n_occ, detectors) -> _FoldSetup | _TensorSetup:
+    """Output-independent set-up of ``permanent`` and ``general`` from
+    ``_checked_ensemble``: the product fold's draws for product components,
+    else a ``_TensorSetup`` (capped at r^N <= TENSOR_MAX_ENTRIES). The
+    ``permanent`` engine takes at most one photon per input mode."""
+    if engine == "permanent" and any(c > 1 for c in n_occ):
+        raise UnsupportedInputError(
+            "prob_permanent_basis needs a single photon or vacuum per input mode; "
+            "use prob_jmatrix or prob_general for multi-occupancy inputs"
+        )
+    ensemble = _checked_ensemble(spectral, n_occ)
     if ensemble.basis is None:
         return _gram_draws(ensemble.components, detectors)
+    if ensemble.basis.rank**ensemble.n > TENSOR_MAX_ENTRIES:
+        raise SizeLimitError(f"r^N = {ensemble.basis.rank**ensemble.n} exceeds "
+                             f"TENSOR_MAX_ENTRIES = {TENSOR_MAX_ENTRIES}")
     probs = np.array([w for w, _ in ensemble.components])
     coeffs = np.stack([np.asarray(c, dtype=complex).reshape(-1) for _, c in ensemble.components])
     sqrt_ops = {det: ensemble.basis.detector_sqrt(det) for det in detectors}
@@ -512,7 +513,7 @@ def prob_general(ensemble: GeneralEnsemble, detectors: Sequence[DetectorModel] |
     basis."""
     n_occ, m_occ, _ = _sizes(n_occ, m_occ, u.shape[0])
     slot_dets = _slot_detectors(detectors, m_occ, u.shape[0])
-    setup = _general_setup(ensemble, n_occ, set(slot_dets))
+    setup = _spectral_setup("general", ensemble, n_occ, set(slot_dets))
     if isinstance(setup, _FoldSetup):
         return _fold_output(setup, slot_dets, u, n_occ, m_occ, "general")
     return _tensor_output(setup, slot_dets, u, n_occ, m_occ)
@@ -549,14 +550,17 @@ def prob_oracle(photons_or_ensemble, detectors: Sequence[DetectorModel] | None,
     P = (1/(mu mu)) sum_{s1,s2} [prod_b U*_{k_{s1^-1(b)}, l_b} U_{k_{s2^-1(b)}, l_b}]
         x (spectral contraction of G against the detector sensitivities).
 
-    Photons and product ensembles (every ``from_photons`` one) are read
-    draw by draw, as products of per-slot Grams; an ensemble given as
-    tensors is contracted in its span basis (rank r <= N). Shares only the
-    spectral data layer with the other engines; no J matrix, no permanents.
+    The photons or ensemble are checked as for ``general``
+    (``_checked_ensemble``). An ensemble given as tensors is contracted in
+    its span basis (rank r <= N); every other ensemble, photons included,
+    is read component by component as products of per-slot Grams. Shares
+    only the spectral data layer and the draw enumeration with the other
+    engines; no J matrix, no permanents.
     """
     n_occ, m_occ, n = _sizes(n_occ, m_occ, u.shape[0])
     if n > ORACLE_MAX_N:
         raise SizeLimitError(f"prob_oracle capped at N <= {ORACLE_MAX_N}, got {n}")
+    ensemble = _checked_ensemble(photons_or_ensemble, n_occ)
     if n == 0:
         return _finalize(1.0 + 0j, m_occ, "oracle")
     slot_dets = _slot_detectors(detectors, m_occ, u.shape[0])
@@ -565,23 +569,12 @@ def prob_oracle(photons_or_ensemble, detectors: Sequence[DetectorModel] | None,
     perms = permutation_array(n)
     invs = np.argsort(perms, axis=1)
     x_inv = np.prod(u[ks[invs], ls[None, :]], axis=1)
-
-    if isinstance(photons_or_ensemble, GeneralEnsemble):
-        ensemble, draws = photons_or_ensemble, photons_or_ensemble.components
-        if ensemble.n != n:
-            raise ValidationError(f"ensemble describes {ensemble.n} photons, instance has {n}")
-    else:
-        photons = list(photons_or_ensemble)
-        if len(photons) != n:
-            raise ValidationError(f"need {n} photons, got {len(photons)}")
-        _validate_block_states(photons, ks)
-        ensemble, draws = None, _mode_correlated_draws(photons, n_occ)
-    if ensemble is not None and ensemble.basis is not None:
+    if ensemble.basis is not None:
         tmat = _oracle_tensor_contractions(ensemble, slot_dets, invs, n)
     else:
         nf = perms.shape[0]
         tmat = np.zeros((nf, nf), dtype=complex)
-        for weight, states in draws:
+        for weight, states in ensemble.components:
             grams = {d: gram_matrix(states, d) for d in set(slot_dets)}
             part = np.ones((nf, nf), dtype=complex)
             for b in range(n):
@@ -696,18 +689,14 @@ def output_distribution(engine: str, u: np.ndarray, n_occ, *,
         raise ValidationError(f"photon list length {len(photons)} != |n| = {n}")
     outputs = enumerate_outputs(modes, n)
     grams = builds = 0
+    spectral = photons if engine == "permanent" or ensemble is None else ensemble
     if engine in ("jmatrix", "permanent", "general"):
         slot_dets = [_slot_detectors(detectors, m_occ, modes) for m_occ in outputs]
         kinds = set().union(*slot_dets)
     if engine == "jmatrix":
         results, grams, builds = _jmatrix_sweep(photons, slot_dets, u, n_occ, outputs)
     elif engine in ("permanent", "general"):
-        if engine == "permanent":
-            setup = _permanent_setup(photons, n_occ, kinds)
-        elif ensemble is None:
-            setup = _photon_setup(photons, n_occ, kinds)
-        else:
-            setup = _general_setup(ensemble, n_occ, kinds)
+        setup = _spectral_setup(engine, spectral, n_occ, kinds)
         if isinstance(setup, _FoldSetup):
             grams = len(kinds)
             results = [_fold_output(setup, dets, u, n_occ, m_occ, engine)
@@ -716,8 +705,7 @@ def output_distribution(engine: str, u: np.ndarray, n_occ, *,
             results = [_tensor_output(setup, dets, u, n_occ, m_occ)
                        for m_occ, dets in zip(outputs, slot_dets)]
     elif engine == "oracle":
-        src = ensemble if ensemble is not None else photons
-        results = [prob_oracle(src, detectors, u, n_occ, m_occ) for m_occ in outputs]
+        results = [prob_oracle(spectral, detectors, u, n_occ, m_occ) for m_occ in outputs]
     elif engine == "classical":
         results = [prob_classical(u, n_occ, m_occ) for m_occ in outputs]
     else:

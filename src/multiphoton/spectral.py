@@ -48,6 +48,8 @@ class GaussianState:
     pol: int = 0
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for x in (self.omega, self.delta, self.t)):
+            raise ValidationError(f"Gaussian state parameters must be finite, got {self}")
         if self.delta <= 0:
             raise ValidationError(f"spectral width must be positive, got {self.delta}")
         if self.pol not in (0, 1):
@@ -109,6 +111,11 @@ class DetectorModel:
     width: float = 1.0
     peak: float = 1.0
     entries: tuple | None = None  # hashable storage for the 'matrix' kind
+
+    def __post_init__(self):
+        values = [self.eta, self.center, self.width, self.peak, *np.ravel(self.entries or ())]
+        if not np.all(np.isfinite(np.array(values, dtype=complex))):
+            raise ValidationError(f"detector {self.kind!r} needs finite parameters")
 
     @staticmethod
     def ideal() -> "DetectorModel":
@@ -246,7 +253,10 @@ def gram_matrix(states: Sequence[PureState], det: DetectorModel | None = None) -
 def gram_factor(gram: np.ndarray) -> np.ndarray:
     """(r, n) factor R = sqrt(Lambda) V^dagger, R^dagger R = G, of a Hermitian
     PSD Gram without its eigenvalues up to GRAM_TOL of the largest: the error
-    is linear in the dropped weight, and nothing is divided by sqrt(lambda)."""
+    is linear in the dropped weight, and nothing is divided by sqrt(lambda).
+    A non-finite Gram raises ValidationError."""
+    if not np.all(np.isfinite(gram)):
+        raise ValidationError("Gram matrix has non-finite entries")
     w, v = np.linalg.eigh(gram)
     keep = w > GRAM_TOL * max(w[-1], 0.0)
     return np.sqrt(w[keep])[:, None] * v[:, keep].conj().T
@@ -350,8 +360,8 @@ class MixedState:
         comps = [(float(w), s) for w, s in components]
         if not comps:
             raise ValidationError("mixed state needs at least one component")
-        if any(w < 0 for w, _ in comps):
-            raise ValidationError("ensemble weights must be nonnegative")
+        if not all(math.isfinite(w) and w >= 0 for w, _ in comps):
+            raise ValidationError("ensemble weights must be finite and nonnegative")
         total = sum(w for w, _ in comps)
         if abs(total - 1.0) > 1e-12:
             raise ValidationError(f"ensemble weights must sum to 1 within 1e-12, got {total}")

@@ -175,15 +175,13 @@ def prob_group_factorized(u: np.ndarray, spec: GroupSpec, m_occ: Sequence[int],
         raise SizeLimitError(
             f"group-factorized probability capped at N <= {JMATRIX_MAX_N}, got {n}")
     m_occ = tuple(int(x) for x in m_occ)
-    ls = mode_list(m_occ)
     slot_dets = _slot_detectors(detectors, m_occ, modes)
     patterns, amps, _ = group_amplitudes(u, spec, m_occ)
     n_occ = spec.occupation(modes)
 
     if spec.independence_rank() < len(spec.groups):
         states = [spec.groups[q].state for q in spec.slot_groups(modes)]
-        jm = build_pure(states, slot_dets, output_modes=ls, input_modes=mode_list(n_occ))
-        full = prob_jmatrix(jm, u, n_occ, m_occ)
+        full = _pure_jmatrix_probability(states, slot_dets, u, n_occ, m_occ)
         return ProbabilityResult(full.m, full.p, "group-factorized-fallback",
                                  full.imag_residual, full.clamped), amps
 
@@ -193,6 +191,15 @@ def prob_group_factorized(u: np.ndarray, spec: GroupSpec, m_occ: Sequence[int],
     raw = np.vdot(yvec, jr @ yvec) / (mu(m_occ) * mu(n_occ))
     result = _finalize(raw, m_occ, "group-factorized")
     return result, amps
+
+
+def _pure_jmatrix_probability(states: Sequence[PureState],
+                              slot_dets: Sequence[DetectorModel], u: np.ndarray,
+                              n_occ, m_occ) -> ProbabilityResult:
+    """P through the J-matrix engine for pure slot states in natural order."""
+    jm = build_pure(states, slot_dets, output_modes=mode_list(m_occ),
+                    input_modes=mode_list(n_occ))
+    return prob_jmatrix(jm, u, n_occ, m_occ)
 
 
 def _dial_states(q: int, x: float) -> list[FiniteRankState]:
@@ -217,10 +224,7 @@ def _probability_at_dial(u: np.ndarray, spec: GroupSpec, m_occ, x: float) -> flo
     slot_groups = spec.slot_groups(modes)
     dial = _dial_states(len(spec.groups), x)
     states = [dial[g] for g in slot_groups]
-    ls = mode_list(m_occ)
-    jm = build_pure(states, (IDEAL,) * spec.n, output_modes=ls,
-                    input_modes=mode_list(n_occ))
-    return prob_jmatrix(jm, u, n_occ, m_occ).p
+    return _pure_jmatrix_probability(states, (IDEAL,) * spec.n, u, n_occ, m_occ).p
 
 
 def suppression_scan(u: np.ndarray, spec: GroupSpec,
@@ -254,12 +258,9 @@ def suppression_scan(u: np.ndarray, spec: GroupSpec,
         if dependent:
             record.diagnostic = "group states are linearly dependent; zero amplitudes are sufficient but not necessary"
         if flagged:
-            probs = {}
-            ls = mode_list(m_occ)
-            jm = build_pure([spec.groups[q].state for q in spec.slot_groups(modes)],
-                            (IDEAL,) * spec.n, output_modes=ls,
-                            input_modes=mode_list(n_occ))
-            probs["input"] = prob_jmatrix(jm, u, n_occ, m_occ).p
+            states = [spec.groups[q].state for q in spec.slot_groups(modes)]
+            probs = {"input": _pure_jmatrix_probability(states, (IDEAL,) * spec.n,
+                                                        u, n_occ, m_occ).p}
             for x in grid:
                 probs[f"overlap={x:g}"] = _probability_at_dial(u, spec, m_occ, x)
             record.probabilities = probs

@@ -1047,6 +1047,9 @@ def test_finalize_clamps_and_raises():
         _finalize(complex(-5e-9, 0.0), (1, 0), "test")
     with pytest.raises(EngineError):
         _finalize(complex(0.5, 1e-6), (1, 0), "test")
+    for raw in (complex(np.nan, 0.0), complex(0.5, np.inf)):
+        with pytest.raises(EngineError, match="non-finite"):
+            _finalize(raw, (1, 0), "test")
 
 
 def test_photon_count_validation():
@@ -1239,3 +1242,93 @@ def test_sweep_names_its_set_up_in_debug_log(caplog):
         "output_distribution: general engine, 10 outputs, set-up: 1 Grams, 0 J builds",
         "output_distribution: ideal engine, 10 outputs, set-up: 0 Grams, 0 J builds",
     ]
+
+
+# -- one checked spectral input ---------------------------------------------------
+
+
+def test_from_photons_refuses_different_photons_in_one_input_mode():
+    g, h = gaussians(0.0, 0.5)
+    with pytest.raises(ValidationError, match="share input mode 0"):
+        GeneralEnsemble.from_photons([g, h], (2, 0))
+
+
+def asymmetric_ensembles():
+    """A product component with different states in one input mode, and an
+    antisymmetric tensor: neither is a state of two photons in mode 0."""
+    product = GeneralEnsemble(None, ((1.0, tuple(gaussians(0.0, 0.5))),))
+    antisymmetric = GeneralEnsemble(SpanBasis([FiniteRankState(v) for v in np.eye(2)]),
+                                    ((1.0, np.array([[0.0, 1.0], [-1.0, 0.0]]) / math.sqrt(2)),))
+    return {"product": product, "antisymmetric": antisymmetric}
+
+
+@pytest.mark.parametrize("kind", ["product", "antisymmetric"])
+def test_oracle_refuses_what_general_refuses(kind):
+    """The oracle checks its ensemble as ``general`` does: the same
+    ValidationError for a single output and for a sweep."""
+    ens = asymmetric_ensembles()[kind]
+    u = fourier(2)
+    calls = [partial(prob_general, ens, None, u, (2, 0), (1, 1)),
+             partial(prob_oracle, ens, None, u, (2, 0), (1, 1)),
+             partial(output_distribution, "general", u, (2, 0), ensemble=ens),
+             partial(output_distribution, "oracle", u, (2, 0), ensemble=ens)]
+    messages = set()
+    for call in calls:
+        with pytest.raises(ValidationError) as err:
+            call()
+        messages.add(str(err.value))
+    assert len(messages) == 1
+
+
+@pytest.mark.parametrize("engine", ["general", "oracle"])
+def test_ensemble_engines_check_the_photon_number(engine):
+    ens = GeneralEnsemble.from_photons(gaussians(0.0, 0.5))
+    with pytest.raises(ValidationError, match="ensemble describes 2 photons, instance has 3"):
+        output_distribution(engine, fourier(3), (1, 1, 1), ensemble=ens)
+
+
+def test_general_ensemble_needs_a_component():
+    with pytest.raises(ValidationError, match="at least one component"):
+        GeneralEnsemble(None, ())
+
+
+@pytest.mark.parametrize("weights", [(2.0,), (float("nan"),), (1.5, -0.5), (float("inf"), 0.0),
+                                     (0.5, 0.4)],
+                         ids=["sum-2", "nan", "negative", "inf", "sum-0.9"])
+def test_general_ensemble_checks_its_weights(weights):
+    g, h = gaussians(0.0, 0.5)
+    with pytest.raises(ValidationError, match="ensemble weights"):
+        GeneralEnsemble(None, tuple((w, (g, h)) for w in weights))
+
+
+def test_general_ensemble_weights_sum_to_one_within_1e_12_per_photon():
+    g, h = gaussians(0.0, 0.5)
+    GeneralEnsemble(None, ((0.5, (g, h)), (0.5 + 1.5e-12, (h, g))))
+    with pytest.raises(ValidationError, match="ensemble weights"):
+        GeneralEnsemble(None, ((0.5, (g, h)), (0.5 + 2.5e-12, (h, g))))
+
+
+def test_product_ensemble_weights_sum_to_one():
+    """Four 8-node jitter photons: 4096 components whose weights sum to 1
+    within roundoff."""
+    photons = [MixedState.gaussian_time_jitter(0.0, 1.0, 0.4, mean_time=t, nodes=8)
+               for t in (0.0, 0.5, 1.0, 1.5)]
+    ens = GeneralEnsemble.from_photons(photons)
+    assert len(ens.components) == 8**4
+    assert abs(sum(w for w, _ in ens.components) - 1.0) < 1e-13
+
+
+def test_non_finite_probabilities_raise_engine_error():
+    u = random_unitary(3, 31)
+    jm = build_j_for(gaussians(0.0, 0.5, 1.0), (1, 1, 1))
+    dense = jm.as_dense().copy()
+    dense[1, 2] = np.nan
+    with pytest.raises(EngineError, match="non-finite"):
+        prob_jmatrix(JMatrix(3, "dense", dense=dense, output_modes=jm.output_modes),
+                     u, (1, 1, 1), (1, 1, 1))
+    cycle = build_cycle_compressed(GaussianState(0.0, 1.0), IDEAL, 3)
+    values = {ct: np.nan if i == 0 else v for i, (ct, v) in enumerate(cycle.cycle_values.items())}
+    with pytest.raises(EngineError, match="non-finite"):
+        prob_jmatrix(replace(cycle, cycle_values=values), u, (1, 1, 1), (1, 1, 1))
+    with pytest.raises(EngineError, match="non-finite"):
+        prob_oracle(gaussians(0.0, 0.5, 1.0), None, np.full((3, 3), np.nan), (1, 1, 1), (1, 1, 1))

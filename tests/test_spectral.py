@@ -19,6 +19,7 @@ from multiphoton.spectral import (
     SpanBasis,
     detector_from_dict,
     gk_trace,
+    gram_factor,
     gram_matrix,
     load_detectors,
     load_photons,
@@ -369,3 +370,32 @@ def test_detector_json_forms(tmp_path):
     assert [d.kind for d in dets] == ["ideal", "flat", "gaussianBand", "matrix"]
     with pytest.raises(ValidationError):
         detector_from_dict({"kind": "bogus"})
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: GaussianState(0.0, NAN),
+    lambda: GaussianState(NAN, 1.0),
+    lambda: GaussianState(0.0, 1.0, INF),
+    lambda: MixedState([(NAN, GaussianState(0.0, 1.0))]),
+    lambda: MixedState([(0.5, GaussianState(0.0, 1.0)), (NAN, GaussianState(0.0, 1.0, 1.0))]),
+    lambda: DetectorModel.gaussian_band(NAN, 1.0),
+    lambda: DetectorModel.operator(np.full((2, 2), NAN)),
+    lambda: DetectorModel("flat", eta=NAN),
+    lambda: DetectorModel("gaussianBand", width=INF),
+    lambda: DetectorModel("matrix", entries=((1.0, 0.0), (0.0, NAN))),
+], ids=["gaussian-width", "gaussian-omega", "gaussian-time", "mixed-weight",
+        "mixed-second-weight", "band-factory", "operator-factory", "flat-direct",
+        "band-direct", "matrix-direct"])
+def test_non_finite_spectral_input_is_refused(build):
+    with pytest.raises(ValidationError, match="finite"):
+        build()
+
+
+def test_gram_factor_refuses_a_non_finite_gram():
+    g = gram_matrix([GaussianState(0.0, 1.0), GaussianState(0.0, 1.0, 0.5)])
+    g[0, 1] = NAN
+    with pytest.raises(ValidationError, match="non-finite"):
+        gram_factor(g)
