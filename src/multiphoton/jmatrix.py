@@ -23,7 +23,13 @@ is a ``JMatrix`` too: a cycle J stays cycle, any other becomes dense.
 
 A mixed build traces each distinct cycle of S_N (``symgroup.cycle_table``)
 once per detector labelling, on blocks of the photons' own density
-operators, and gathers J by the relative position of s2 s1^{-1}.
+operators, and gathers J by the relative position of s2 s1^{-1}. Its
+detector-independent set-up (``_MixedSetup``: the draws of correlated
+modes, one Gram table of the photons' pure components, each photon's
+factor) is made once, so a sweep sets up once and builds one J per
+slot-detector tuple. ``_slot_draws`` is the only place where photons
+become draws: ``GeneralEnsemble.from_photons``, the pure ``jmatrix`` sweep
+and the mixed set-up all call it.
 
 With dissimilar detectors the entries depend on the output configuration, so
 every J carries its output context (the mode list it was built for) and the
@@ -35,7 +41,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -48,10 +54,13 @@ from .errors import (
 from .network import mode_list
 from .spectral import (
     GRAM_TOL,
+    IDEAL,
     DetectorModel,
     MixedState,
     PureState,
+    _GramTable,
     gram_matrix,
+    is_mixed,
     pure_components,
 )
 from .symgroup import (
@@ -222,6 +231,21 @@ def _validate_block_states(states: Sequence, input_modes: Sequence[int] | None):
             )
 
 
+def _slot_draws(states: Sequence[PureState | MixedState], input_modes: Sequence[int]
+                ) -> Iterator[tuple[float, tuple[PureState, ...]]]:
+    """The joint draws of photons in their input modes, the only place where
+    photons become draws: one ensemble draw per input mode (photons sharing
+    a mode fluctuate together, different modes independently), each with
+    weight prod p and its slot states. Photons in one input mode must carry
+    the same state (ValidationError)."""
+    _validate_block_states(states, input_modes)
+    modes = list(dict.fromkeys(input_modes))
+    axes = [pure_components(states[list(input_modes).index(k)]) for k in modes]
+    for draw in itertools.product(*axes):
+        drawn = {k: state for k, (_, state) in zip(modes, draw)}
+        yield math.prod(w for w, _ in draw), tuple(drawn[k] for k in input_modes)
+
+
 def build_pure(states: Sequence[PureState], detectors: Sequence[DetectorModel], *,
                output_modes: Sequence[int] | None = None,
                input_modes: Sequence[int] | None = None) -> JMatrix:
@@ -246,37 +270,13 @@ def _pure_from_grams(grams: dict[DetectorModel, np.ndarray],
                    detectors=detectors)
 
 
-def _photon_blocks(states: Sequence[PureState | MixedState],
-                   detectors: Sequence[DetectorModel]) -> tuple[np.ndarray, np.ndarray]:
-    """Blocks B^d_{a,b} = X_a^dagger (Phi_a^dagger Gamma_d Phi_b) X_b of every
-    distinct detector d, (D, N, N, r, r), and each slot's index into them.
-    Photon a is rho_a = Phi_a P_a Phi_a^dagger (components Phi_a, weights
-    P_a) and X_a = P_a^(1/2) V_a, V_a the eigenvectors of
-    P_a^(1/2) Phi_a^dagger Phi_a P_a^(1/2) above GRAM_TOL of the largest,
-    zero-padded to the largest rank r; nothing is divided by an eigenvalue."""
-    comps = [pure_components(st) for st in states]
-    xs = []
-    for c in comps:
-        root = np.sqrt([w for w, _ in c])
-        w, v = np.linalg.eigh(root[:, None] * gram_matrix([s for _, s in c]) * root)
-        xs.append(root[:, None] * v[:, w > GRAM_TOL * w[-1]])
-    n, r = len(states), max(x.shape[1] for x in xs)
-    # X_a on the rows of photon a's components and in column block a
-    x = np.concatenate([np.pad(xa[:, None], ((0, 0), (a, n - 1 - a), (0, r - xa.shape[1])))
-                        for a, xa in enumerate(xs)]).reshape(-1, n * r)
-    kinds = list(dict.fromkeys(detectors))
-    all_states = [s for c in comps for _, s in c]
-    blocks = np.array([x.conj().T @ gram_matrix(all_states, det) @ x for det in kinds])
-    blocks = blocks.reshape(len(kinds), n, r, n, r).transpose(0, 1, 3, 2, 4)
-    return blocks, np.array([kinds.index(d) for d in detectors])
-
-
 def build_mixed(states: Sequence[PureState | MixedState],
                 detectors: Sequence[DetectorModel], *,
                 output_modes: Sequence[int] | None = None,
                 input_modes: Sequence[int] | None = None) -> JMatrix:
     """J for photons in mixed spectral states (fluctuating parameters enter
-    through each MixedState's quadrature ensemble).
+    through each MixedState's quadrature ensemble): the set-up of
+    ``_MixedSetup`` and one accumulation over its draws.
 
     Photons in different input modes fluctuate independently. Photons
     sharing one input mode fluctuate together (they share each ensemble
@@ -285,62 +285,92 @@ def build_mixed(states: Sequence[PureState | MixedState],
     within-mode jitter (it would not even be trace normalized after
     symmetrization).
 
-    Per draw of those blocks, J(s1, s2) = w_{L(s2)}(s2 s1^-1) with the
+    Per draw of those photons, J(s1, s2) = w_{L(s2)}(s2 s1^-1) with the
     detector labelling L(s2)(a) = detector of slot s2^-1(a): the cycle
     traces of ``_labelled_cycle_weights`` gathered by relative position.
 
     Dense-only (N <= DENSE_CAP); identical sources with identical detectors
     have the cycle-compressed form ``build_cycle_compressed`` at any N.
     """
-    n = len(states)
-    if n > DENSE_CAP:
-        raise SizeLimitError(
-            f"mixed J builds are dense-only (N <= {DENSE_CAP}), got N={n}; for identical "
-            "sources and detectors use build_cycle_compressed"
-        )
-    detectors = _check_slot_detectors(n, detectors)
-    _validate_block_states(states, input_modes)
-
-    correlated: list[list[int]] = []  # slot blocks of multiply-occupied mixed modes
-    if input_modes is not None:
-        groups: dict[int, list[int]] = {}
-        for slot, mode in enumerate(input_modes):
-            groups.setdefault(mode, []).append(slot)
-        correlated = [slots for slots in groups.values()
-                      if len(slots) > 1 and len(pure_components(states[slots[0]])) > 1]
-    # mixture over joint draws of the correlated blocks (a single draw without
-    # them); the remaining slots keep their own independent mixed operators
-    draw_axes = [pure_components(states[slots[0]]) for slots in correlated]
-    s2_inverses = np.argsort(permutation_array(n), axis=1)
-    nf = math.factorial(n)
-    dense = np.zeros((nf, nf), dtype=complex)
-    for combo in itertools.product(*draw_axes):
-        weight = math.prod(w for w, _ in combo)
-        slot_states: list = list(states)
-        for slots, (_, drawn) in zip(correlated, combo):
-            for s in slots:
-                slot_states[s] = drawn
-        weights, labelling = _labelled_cycle_weights(slot_states, detectors, s2_inverses)
-        dense += weight * weights[labelling[None, :], relative_positions(n)]
-    return JMatrix(n, "dense", dense=dense,
-                   output_modes=tuple(output_modes) if output_modes is not None else None,
-                   detectors=detectors)
+    return _MixedSetup(states, input_modes).build(detectors, output_modes)
 
 
-def _labelled_cycle_weights(states, detectors,
-                            s2_inverses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(distinct labellings, N!) weights w_L(tau) of independently
-    fluctuating photons, tau in canonical order, and the labelling of each
-    row of ``s2_inverses``: L(s2)(a) = detector of slot s2^-1(a) and
+class _MixedSetup:
+    """The detector-independent set-up of mixed J builds, in this order: the
+    DENSE_CAP refusal, the block check, the draws of the correlated modes
+    (several photons of one mixed state in one input mode, ``_slot_draws``),
+    the Gram table of all pure components, and each photon's factor X_a.
+
+    Photon a is rho_a = Phi_a P_a Phi_a^dagger (components Phi_a, weights
+    P_a) and X_a = P_a^(1/2) V_a, V_a the eigenvectors of
+    P_a^(1/2) Phi_a^dagger Phi_a P_a^(1/2) above GRAM_TOL of the largest,
+    zero-padded to the largest rank r; nothing is divided by an eigenvalue.
+    A photon of a correlated mode is its drawn pure state, X_a = 1. The
+    set-up holds the table, the factors and each draw's table rows, never a
+    draw's blocks, so a sweep sets it up once and ``build``s one J per
+    slot-detector tuple."""
+
+    def __init__(self, states: Sequence[PureState | MixedState],
+                 input_modes: Sequence[int] | None):
+        n = self.n = len(states)
+        if n > DENSE_CAP:
+            raise SizeLimitError(f"mixed J builds are dense-only (N <= {DENSE_CAP}), got N={n}; "
+                                 "for identical sources and detectors use build_cycle_compressed")
+        _validate_block_states(states, input_modes)
+        modes = list(range(n) if input_modes is None else input_modes)
+        drawn = [a for a in range(n) if modes.count(modes[a]) > 1 and is_mixed(states[a])]
+        self.table = _GramTable(s for st in states for _, s in pure_components(st))
+        xs, rows = [], []
+        for a, st in enumerate(states):
+            # a photon of a correlated mode is one pure row, set to its drawn state per draw
+            comps = ((1.0, pure_components(st)[0][1]),) if a in drawn else pure_components(st)
+            rows.append(self.table.index(s for _, s in comps))
+            root = np.sqrt([w for w, _ in comps])
+            w, v = np.linalg.eigh(root[:, None] * self.table.block(rows[-1], IDEAL) * root)
+            xs.append(root[:, None] * v[:, w > GRAM_TOL * w[-1]])
+        self.r = r = max(x.shape[1] for x in xs)
+        # X_a on the rows of photon a's components and in column block a
+        self.x = np.concatenate([np.pad(xa[:, None], ((0, 0), (a, n - 1 - a), (0, r - xa.shape[1])))
+                                 for a, xa in enumerate(xs)]).reshape(-1, n * r)
+        self.rows = np.concatenate(rows)
+        self.drawn_rows = np.cumsum([0] + [len(at) for at in rows])[drawn]
+        self.draws = [(weight, self.table.index(slot_states)) for weight, slot_states
+                      in _slot_draws([states[a] for a in drawn], [modes[a] for a in drawn])]
+
+    def build(self, detectors: Sequence[DetectorModel],
+              output_modes: Sequence[int] | None = None) -> JMatrix:
+        """The dense J of the slot detectors, accumulated over the draws:
+        per draw, the blocks B^d_{a,b} = X_a^dagger (Phi_a^dagger Gamma_d
+        Phi_b) X_b of every distinct detector d, read from the Gram table."""
+        detectors = _check_slot_detectors(self.n, detectors)
+        kinds = list(dict.fromkeys(detectors))
+        slot_kind = np.array([kinds.index(d) for d in detectors])
+        labellings, row_labelling = np.unique(slot_kind[np.argsort(permutation_array(self.n))],
+                                              axis=0, return_inverse=True)
+        gather = (row_labelling.reshape(-1)[None, :], relative_positions(self.n))
+        xh, rows = self.x.conj().T, self.rows.copy()
+        dense = np.zeros((math.factorial(self.n),) * 2, dtype=complex)
+        for weight, at in self.draws:
+            rows[self.drawn_rows] = at
+            blocks = np.array([xh @ self.table.block(rows, det) @ self.x for det in kinds])
+            blocks = blocks.reshape(-1, self.n, self.r, self.n, self.r).transpose(0, 1, 3, 2, 4)
+            dense += weight * _labelled_cycle_weights(blocks, labellings)[gather]
+        return JMatrix(self.n, "dense", dense=dense,
+                       output_modes=tuple(output_modes) if output_modes is not None else None,
+                       detectors=detectors)
+
+
+def _labelled_cycle_weights(blocks: np.ndarray, labellings: np.ndarray) -> np.ndarray:
+    """(labellings, N!) weights w_L(tau) of independently fluctuating
+    photons, tau in canonical order, from their (D, N, N, r, r) blocks
+    B^d_{a,b} and the (labellings, N) detector index L(a) of each element:
     w_L(tau) = prod over the cycles (a_1 ... a_k) of tau of
     Tr{Gamma_{L(a_1)} rho_{a_1} ... Gamma_{L(a_k)} rho_{a_k}}
-    = Tr{B^{L(a_2)}_{a_1 a_2} ... B^{L(a_1)}_{a_k a_1}} (``_photon_blocks``).
+    = Tr{B^{L(a_2)}_{a_1 a_2} ... B^{L(a_1)}_{a_k a_1}}.
     Each cycle of ``cycle_table`` is traced once per labelling: its open
     product is one block from its parent's, and the block back to its first
     element closes it. Stacks hold at most CYCLE_STACK_ELEMENTS entries."""
-    blocks, slot_kind = _photon_blocks(states, detectors)
-    labellings, row_labelling = np.unique(slot_kind[s2_inverses], axis=0, return_inverse=True)
-    n, r = len(states), blocks.shape[-1]
+    n, r = blocks.shape[1], blocks.shape[-1]
     table = cycle_table(n)
     level_start = np.searchsorted(table.length, np.arange(1, n + 2))
     rows = np.arange(n)
@@ -360,7 +390,7 @@ def _labelled_cycle_weights(states, detectors,
             traces.append(np.einsum("lcij,lcji->lc", opens, close))
         traces.append(np.ones((len(lab), 1)))  # the padding id C
         weights[start:start + step] = np.concatenate(traces, axis=1)[:, table.ids].prod(axis=2)
-    return weights, row_labelling.reshape(-1)
+    return weights
 
 
 def build_cycle_compressed(rho: PureState | MixedState, det: DetectorModel,
@@ -507,18 +537,6 @@ def _purity_from_cycle(n: int, values: dict[tuple[int, ...], complex]) -> Purity
 def min_eigenvalue(jm: JMatrix) -> float:
     dense = jm.as_dense()
     return float(np.linalg.eigvalsh(dense)[0])
-
-
-def jmatrix_entry_cycle_route(states: Sequence[PureState],
-                              detectors: Sequence[DetectorModel],
-                              s1: Sequence[int], s2: Sequence[int]) -> complex:
-    """Second code path for pure inputs: the cycle-trace identity instead of
-    the direct per-slot product (used to cross-check the two), traced as in
-    ``build_mixed``."""
-    detectors = _check_slot_detectors(len(states), detectors)
-    s1, s2 = np.asarray(s1, dtype=np.intp), np.asarray(s2, dtype=np.intp)
-    weights, _ = _labelled_cycle_weights(list(states), detectors, np.argsort(s2)[None, :])
-    return complex(weights[0, permutation_index(s2[np.argsort(s1)].tolist())])
 
 
 def dump_jmatrix(jm: JMatrix) -> dict:

@@ -239,8 +239,3 @@ def zero_threshold(a: np.ndarray) -> float:
     scale = float(np.prod(np.max(np.abs(a), axis=0)))
     return 1e-12 * max(scale, 1.0)
 
-
-def is_vanishing(value: complex, a: np.ndarray) -> bool:
-    """True if ``value`` is below the scale-aware zero threshold of ``a``."""
-    return abs(value) < zero_threshold(a)
-

@@ -24,14 +24,16 @@ differ in the route:
   ensembles; slow, independent of every other engine, and the arbiter when
   they disagree.
 
-Photons are their product ensemble: GeneralEnsemble.from_photons is the only
-place where photons become draws, and the permanent, general and oracle
-engines check their photons or ensemble in one place (_checked_ensemble),
-so they accept and refuse the same spectral input. The permanent engine
-and the product fold share one route: each draw of N pure slot states
-takes the rows of S(j) from factors R_l^dagger R_l = G_l of its
-Gamma_l-weighted Grams (Tichy, PRA 91, 022316, 2015), sub-blocks of one
-Gram per detector over the distinct states of all draws.
+Photons are their product ensemble: jmatrix._slot_draws, which
+GeneralEnsemble.from_photons and the jmatrix sweeps call, is the only place
+where photons become draws, and the permanent, general and oracle engines
+check their photons or ensemble in one place (_checked_ensemble), so they
+accept and refuse the same spectral input. The permanent engine and the
+product fold share one route: each draw of N pure slot states takes the
+rows of S(j) from factors R_l^dagger R_l = G_l of its Gamma_l-weighted
+Grams (Tichy, PRA 91, 022316, 2015), sub-blocks of one Gram per detector
+over the distinct states of all draws (the Gram table of ``spectral``),
+which the mixed J builds read too.
 
 Every engine raises EngineError on a non-finite probability.
 
@@ -56,19 +58,20 @@ from .errors import (
     UnsupportedInputError,
     ValidationError,
 )
-from .jmatrix import JMatrix, _pure_from_grams, _validate_block_states, build_mixed
+from .jmatrix import JMatrix, _MixedSetup, _pure_from_grams, _slot_draws, _validate_block_states
 from .network import check_occupation, enumerate_outputs, mode_list, mu
-from .permanent import permanent_gather_batch, permanent_ryser, permanent_ryser_batch
+from .permanent import (RYSER_TEMP_ELEMENTS, permanent_gather_batch, permanent_ryser,
+                         permanent_ryser_batch)
 from .spectral import (
     IDEAL,
     DetectorModel,
     MixedState,
     PureState,
     SpanBasis,
+    _GramTable,
     gram_factor,
     gram_matrix,
     is_mixed,
-    pure_components,
 )
 from .symgroup import inverse_pairs, mode_subgroup_blocks, permutation_array
 
@@ -80,7 +83,6 @@ NEGATIVE_CLAMP = -1e-9   # below this a negative probability is a hard error
 IMAG_RESIDUAL_TOL = 1e-10
 ORACLE_MAX_N = 5
 JMATRIX_MAX_N = 8
-PERMANENT_STACK_ELEMENTS = 1 << 14  # bounds each permanent stack of the product fold and the tensor route
 TENSOR_MAX_ENTRIES = 10**6  # r^N entries of each component tensor on the tensor route of general
 
 
@@ -265,19 +267,16 @@ def _gram_draws(draws, detectors) -> _FoldSetup:
     slot columns of the ``gram_factor`` of the Gram of its distinct states
     (duplicates add no rank), zero-padded to r, the largest rank over the
     detectors. Each draw's Gram is a sub-block of one Gram per detector over
-    the distinct states of all draws. Draws that no detector sees (r = 0)
-    are dropped."""
+    the distinct states of all draws, read from their Gram table. Draws that
+    no detector sees (r = 0) are dropped."""
     draws = list(draws)
-    every = list(dict.fromkeys(s for _, states in draws for s in states))
-    index = {s: i for i, s in enumerate(every)}
+    table = _GramTable(s for _, states in draws for s in states)
     kind = {det: i for i, det in enumerate(detectors)}
-    grams = [gram_matrix(every, det) for det in kind]
     by_rank: dict[int, tuple[list, list]] = {}
     for weight, states in draws:
         distinct = list(dict.fromkeys(states))
-        cols = [distinct.index(s) for s in states]
-        at = [index[s] for s in distinct]
-        factors = [gram_factor(g[np.ix_(at, at)]) for g in grams]
+        cols, at = [distinct.index(s) for s in states], table.index(distinct)
+        factors = [gram_factor(table.block(at, det)) for det in kind]
         r = max((len(f) for f in factors), default=0)
         padded = np.zeros((len(kind), r, len(states)), dtype=complex)
         for f, out in zip(factors, padded):
@@ -296,13 +295,14 @@ def _fold_output(setup: _FoldSetup, slot_dets: tuple[DetectorModel, ...],
     canonical tuples j, S_j[beta, alpha] = R_{l_alpha}[j_alpha, beta]: each
     slot's basis sum gives sum_j conj(R[j, b]) R[j, c] = G_{l_alpha}[b, c].
     The (draw, tuple) pairs of each rank form one axis, cut into stacks of
-    at most PERMANENT_STACK_ELEMENTS entries. Occupations are checked."""
+    at most RYSER_TEMP_ELEMENTS entries, one kernel chunk. Occupations are
+    checked."""
     n = len(slot_dets)
     if n == 0:
         return _finalize(1.0 + 0j, m_occ, engine)
     usub_t = _usub(u, n_occ, m_occ).T
     dets = np.array([setup.kind[det] for det in slot_dets])
-    step = max(1, PERMANENT_STACK_ELEMENTS // (n * n))
+    step = max(1, RYSER_TEMP_ELEMENTS // (n * n))
     total, permanents = 0.0, 0
     for probs, factors in setup.groups:
         _, kinds, r, _ = factors.shape
@@ -390,24 +390,17 @@ class GeneralEnsemble:
     @staticmethod
     def from_photons(photons: Sequence[PureState | MixedState],
                      n_occ: Sequence[int] | None = None) -> "GeneralEnsemble":
-        """Product-form ensemble of checked photons, the only place where
-        photons become draws: one ensemble draw per input mode (photons
-        sharing a mode fluctuate together, different modes independently),
-        each one component, its N slot states with weight prod p. Photons
-        in one input mode must carry the same state (ValidationError).
-        Without an occupation vector every photon occupies its own mode
-        (independent draws)."""
+        """Product-form ensemble of checked photons, one component per draw of
+        ``_slot_draws``: one ensemble draw per input mode (photons sharing a
+        mode fluctuate together, different modes independently), its N slot
+        states with weight prod p. Photons in one input mode must carry the
+        same state (ValidationError). Without an occupation vector every
+        photon occupies its own mode (independent draws)."""
         if n_occ is None:
             n_occ = (1,) * len(photons)
         if len(photons) != sum(n_occ):
             raise ValidationError(f"need {sum(n_occ)} photons, got {len(photons)}")
-        _validate_block_states(photons, mode_list(n_occ))
-        blocks = mode_subgroup_blocks(n_occ)
-        axes = [pure_components(photons[block[0]]) for block in blocks]
-        return GeneralEnsemble(None, tuple(
-            (math.prod(w for w, _ in draw),
-             tuple(state for block, (_, state) in zip(blocks, draw) for _ in block))
-            for draw in itertools.product(*axes)))
+        return GeneralEnsemble(None, tuple(_slot_draws(photons, mode_list(n_occ))))
 
     def validate_symmetry(self, n_occ, tol: float = 1e-10) -> None:
         """The G-function symmetry: C invariant under permutations of tensor
@@ -484,7 +477,7 @@ def _tensor_output(setup: _TensorSetup, slot_dets: tuple[DetectorModel, ...],
     r = rows.shape[1]
     tuples, weights = _output_tuples(r, m_occ)
     jp_tuples = np.indices((r,) * n).reshape(n, -1).T
-    step = max(1, PERMANENT_STACK_ELEMENTS // (r**n * n * n))
+    step = max(1, RYSER_TEMP_ELEMENTS // (r**n * n * n))
     total = 0.0
     for start in range(0, len(tuples), step):
         # B(j, j')[beta, alpha] = rows[alpha, j_alpha, j'_beta], one stack per j
@@ -636,25 +629,27 @@ def _jmatrix_sweep(photons: Sequence[PureState | MixedState],
                    slot_dets: list[tuple[DetectorModel, ...]], u: np.ndarray, n_occ,
                    outputs: list[tuple[int, ...]]) -> tuple[list[ProbabilityResult], int, int]:
     """Every output through prob_jmatrix, with the Grams and J builds done.
-    Pure photons stack each output's slot Grams from one Gram per detector.
-    A mixed J depends on the output only through its slot detectors, so one
-    is built per distinct slot-detector tuple (one at a time, since a dense
-    J can be large) and each output takes it under its own context."""
+    Pure photons (their single ``_slot_draws`` draw) stack each output's
+    slot Grams from one Gram per detector. A mixed J depends on the output
+    only through its slot detectors: one ``_MixedSetup`` serves the sweep,
+    one J is built from it per distinct slot-detector tuple (one at a time,
+    since a dense J can be large) and each output takes it under its own
+    context."""
     ks = mode_list(n_occ)
     results: list[ProbabilityResult] = [None] * len(outputs)  # type: ignore[list-item]
     if any(is_mixed(p) for p in photons):
         groups: dict[tuple[DetectorModel, ...], list[int]] = {}
         for i, dets in enumerate(slot_dets):
             groups.setdefault(dets, []).append(i)
+        setup = _MixedSetup(photons, ks)
         for dets, members in groups.items():
-            jm = build_mixed(photons, dets, input_modes=ks)
+            jm = setup.build(dets)
             for i in members:
                 m_occ = outputs[i]
                 results[i] = prob_jmatrix(replace(jm, output_modes=mode_list(m_occ)),
                                           u, n_occ, m_occ)
         return results, 0, len(groups)
-    states = [pure_components(p)[0][1] for p in photons]  # single-component MixedStates too
-    _validate_block_states(states, ks)
+    [(_, states)] = _slot_draws(photons, ks)  # single-component MixedStates too
     grams = {det: gram_matrix(states, det) for det in set().union(*slot_dets)}
     for i, (m_occ, dets) in enumerate(zip(outputs, slot_dets)):
         jm = _pure_from_grams(grams, dets, output_modes=mode_list(m_occ))
@@ -674,8 +669,10 @@ def output_distribution(engine: str, u: np.ndarray, n_occ, *,
     (the draws of the photons, whose slots in one input mode must carry the
     same state, or the product components of an ensemble), from one Gram per
     detector, the span-basis operators and checks of a ``general`` ensemble
-    given as tensors, and the Grams or mixed J builds of ``jmatrix``. Given
-    both photons and an ensemble, ``general`` reads the ensemble."""
+    given as tensors, and for ``jmatrix`` one Gram per detector (pure
+    photons) or one mixed set-up (draws, Gram table and photon factors) and
+    one J build per slot-detector tuple (mixed photons). Given both photons
+    and an ensemble, ``general`` reads the ensemble."""
     modes = u.shape[0]
     n_occ = check_occupation(n_occ, modes)
     n = sum(n_occ)

@@ -102,7 +102,9 @@ class DetectorModel:
 
     kinds: 'ideal' (unit sensitivity), 'flat' (constant eta), 'gaussianBand'
     (peak * exp(-(w-center)^2/(2 width^2))), 'matrix' (Hermitian operator on
-    the finite-rank basis with eigenvalues in [0, 1]).
+    the finite-rank basis with eigenvalues in [0, 1]). A model checks its
+    kind and parameters itself (ValidationError), so the factories only
+    convert their arguments.
     """
 
     kind: str = "ideal"
@@ -116,6 +118,23 @@ class DetectorModel:
         values = [self.eta, self.center, self.width, self.peak, *np.ravel(self.entries or ())]
         if not np.all(np.isfinite(np.array(values, dtype=complex))):
             raise ValidationError(f"detector {self.kind!r} needs finite parameters")
+        if self.kind not in ("ideal", "flat", "gaussianBand", "matrix"):
+            raise ValidationError(f"unknown detector kind: {self.kind!r}")
+        if self.kind == "flat" and not 0.0 <= self.eta <= 1.0:
+            raise ValidationError(f"flat efficiency must lie in [0, 1], got {self.eta}")
+        if self.kind == "gaussianBand" and self.width <= 0:
+            raise ValidationError(f"band width must be positive, got {self.width}")
+        if self.kind == "gaussianBand" and not 0.0 < self.peak <= 1.0:
+            raise ValidationError(f"band peak must lie in (0, 1], got {self.peak}")
+        if self.kind == "matrix":
+            m = np.array(self.entries, dtype=complex)
+            if m.ndim != 2 or m.shape[0] != m.shape[1]:
+                raise ValidationError("detector operator must be a square matrix")
+            if np.max(np.abs(m - m.conj().T)) > 1e-10:
+                raise ValidationError("detector operator must be Hermitian")
+            ev = np.linalg.eigvalsh(m)
+            if ev.min() < -1e-10 or ev.max() > 1.0 + 1e-10:
+                raise ValidationError(f"detector eigenvalues must lie in [0, 1], got [{ev.min()}, {ev.max()}]")
 
     @staticmethod
     def ideal() -> "DetectorModel":
@@ -123,29 +142,16 @@ class DetectorModel:
 
     @staticmethod
     def flat(eta: float) -> "DetectorModel":
-        if not 0.0 <= eta <= 1.0:
-            raise ValidationError(f"flat efficiency must lie in [0, 1], got {eta}")
         return DetectorModel("flat", eta=float(eta))
 
     @staticmethod
     def gaussian_band(center: float, width: float, peak: float = 1.0) -> "DetectorModel":
-        if width <= 0:
-            raise ValidationError(f"band width must be positive, got {width}")
-        if not 0.0 < peak <= 1.0:
-            raise ValidationError(f"band peak must lie in (0, 1], got {peak}")
         return DetectorModel("gaussianBand", center=float(center), width=float(width), peak=float(peak))
 
     @staticmethod
     def operator(matrix: np.ndarray) -> "DetectorModel":
         m = np.asarray(matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValidationError("detector operator must be a square matrix")
-        if np.max(np.abs(m - m.conj().T)) > 1e-10:
-            raise ValidationError("detector operator must be Hermitian")
-        ev = np.linalg.eigvalsh(m)
-        if ev.min() < -1e-10 or ev.max() > 1.0 + 1e-10:
-            raise ValidationError(f"detector eigenvalues must lie in [0, 1], got [{ev.min()}, {ev.max()}]")
-        return DetectorModel("matrix", entries=tuple(tuple(z for z in row) for row in m))
+        return DetectorModel("matrix", entries=tuple(map(tuple, m)) if m.ndim == 2 else tuple(m.ravel()))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -248,6 +254,25 @@ def gram_matrix(states: Sequence[PureState], det: DetectorModel | None = None) -
         raise IncompatibleRepresentationError(f"cannot overlap {' with '.join(kinds)}")
     rows = np.arange(n)
     return np.where(rows[:, None] <= rows, g, g.T.conj())  # the upper triangle, mirrored
+
+
+class _GramTable:
+    """Detector-weighted Grams of distinct pure states: one ``gram_matrix``
+    per detector over all of them, computed on first use. Callers index
+    their states (``index``) and read sub-blocks (``block``); a state may
+    repeat among the rows."""
+
+    def __init__(self, states: Iterable[PureState]):
+        self._at = {s: i for i, s in enumerate(dict.fromkeys(states))}
+        self._grams: dict[DetectorModel, np.ndarray] = {}
+
+    def index(self, states: Iterable[PureState]) -> np.ndarray:
+        return np.array([self._at[s] for s in states], dtype=np.intp)
+
+    def block(self, at: np.ndarray, det: DetectorModel) -> np.ndarray:
+        if det not in self._grams:
+            self._grams[det] = gram_matrix(list(self._at), det)
+        return self._grams[det][np.ix_(at, at)]
 
 
 def gram_factor(gram: np.ndarray) -> np.ndarray:
@@ -463,18 +488,15 @@ def load_photons(path: str) -> list[PureState]:
 
 def detector_from_dict(entry: dict) -> DetectorModel:
     kind = entry.get("kind")
-    if kind == "ideal":
-        return DetectorModel.ideal()
     if kind == "flat":
         return DetectorModel.flat(float(entry["eta"]))
     if kind == "gaussianBand":
-        return DetectorModel.gaussian_band(
-            float(entry["center"]), float(entry["width"]), float(entry.get("peak", 1.0))
-        )
+        return DetectorModel.gaussian_band(float(entry["center"]), float(entry["width"]),
+                                           float(entry.get("peak", 1.0)))
     if kind == "matrix":
         m = np.array([[complex(p[0], p[1]) for p in row] for row in entry["entries"]])
         return DetectorModel.operator(m)
-    raise ValidationError(f"unknown detector kind: {kind!r}")
+    return DetectorModel(kind)  # 'ideal', or refused as an unknown kind
 
 
 def load_detectors(path: str) -> list[DetectorModel]:

@@ -180,7 +180,8 @@ def run_checks(seed: int = 7, inject_fault: bool = False) -> list[dict]:
         "max_relative_error": worst_rel,
     })
 
-    # a from_photons ensemble against its photons, mixed and multi-occupancy
+    # a from_photons ensemble against its photons, and the photons' mixed J
+    # sweep, mixed and multi-occupancy
     u = random_unitary(3, int(rng.integers(0, 2**31)))
     rho, other = (MixedState.gaussian_time_jitter(0.0, 1.0, 0.5, mean_time=float(t), nodes=3)
                   for t in rng.normal(0.0, 0.8, 2))
@@ -192,6 +193,7 @@ def run_checks(seed: int = 7, inject_fault: bool = False) -> list[dict]:
     sources = ({"photons": photons}, {"ensemble": GeneralEnsemble.from_photons(photons, n_occ)})
     dists = [output_distribution(engine, u, n_occ, detectors=detectors, **source)
              for engine in ("oracle", "general") for source in sources]
+    dists.append(output_distribution("jmatrix", u, n_occ, photons=photons, detectors=detectors))
     worst = max(abs(a.p - b.p) for d in dists[1:] for a, b in zip(dists[0].results, d.results))
     checks.append({
         "name": "product-ensemble-vs-photons",

@@ -29,8 +29,8 @@ from multiphoton.bosonsampling import (
     purity_direct,
 )
 from multiphoton.jmatrix import (
+    build_mixed,
     build_pure,
-    jmatrix_entry_cycle_route,
     mandel_visibility,
     min_eigenvalue,
     purity,
@@ -254,7 +254,8 @@ def test_criterion_08_jmatrix_properties():
                         a = permutation_index(pi1 * s1)
                         b = permutation_index(pi2 * s2)
                         assert abs(dense[a, b] - dense[i, j]) < 1e-12
-        # factorized-input cycle identity: both code paths agree
+        # factorized-input cycle identity: the per-slot product of a pure
+        # build and the cycle traces of a mixed build agree
         rng2 = np.random.default_rng(89)
         for n in (2, 3, 4):
             states = [
@@ -262,12 +263,12 @@ def test_criterion_08_jmatrix_properties():
                 for _ in range(n)
             ]
             dets = tuple(DetectorModel.flat(float(rng2.uniform(0.5, 1.0))) for _ in range(n))
-            jm = build_pure(states, dets)
+            jm, traced = build_pure(states, dets), build_mixed(states, dets)
             perms_arr = permutation_array(n)
             for i in range(min(len(perms_arr), 6)):
                 for j in range(min(len(perms_arr), 6)):
                     direct = jm.entry(perms_arr[i], perms_arr[j])
-                    cyc = jmatrix_entry_cycle_route(states, dets, perms_arr[i], perms_arr[j])
+                    cyc = traced.entry(perms_arr[i], perms_arr[j])
                     assert abs(direct - cyc) < 1e-10
 
 

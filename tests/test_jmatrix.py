@@ -12,7 +12,6 @@ from multiphoton.jmatrix import (
     build_mixed,
     build_pure,
     dump_jmatrix,
-    jmatrix_entry_cycle_route,
     mandel_visibility,
     min_eigenvalue,
     purity,
@@ -113,19 +112,19 @@ def test_block_state_validation():
 
 
 def test_cycle_trace_identity_both_paths(rng):
-    # direct per-slot product vs the cycle-factorized trace route
+    # direct per-slot product of a pure build vs the cycle traces of a mixed one
     for n in (2, 3, 4):
         states = random_gaussians(rng, n)
         dets = tuple(
             DetectorModel.flat(float(rng.uniform(0.5, 1.0))) for _ in range(n)
         )
-        jm = build_pure(states, dets)
+        jm, traced = build_pure(states, dets), build_mixed(states, dets)
         perms = permutation_array(n)
         idx = rng.integers(0, len(perms), size=6)
         for i in idx:
             for j in idx:
                 direct = jm.entry(perms[i], perms[j])
-                via_cycles = jmatrix_entry_cycle_route(states, dets, perms[i], perms[j])
+                via_cycles = traced.entry(perms[i], perms[j])
                 assert abs(direct - via_cycles) < 1e-10
 
 

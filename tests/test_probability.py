@@ -28,7 +28,7 @@ from multiphoton.jmatrix import (
 from multiphoton.bosonsampling import BSParams, build_bs_jmatrix
 from multiphoton.network import enumerate_outputs, fourier, mode_list, mu, random_unitary
 from multiphoton.permanent import RYSER_TEMP_ELEMENTS, permanent_ryser_batch
-from multiphoton import probability
+from multiphoton import jmatrix, probability, spectral
 from multiphoton.probability import (
     ENGINES,
     GeneralEnsemble,
@@ -545,12 +545,11 @@ def test_general_route_names_itself_in_debug_log(caplog):
 def test_mixed_build_above_dense_cap_refused_before_any_work(monkeypatch):
     """A mixed J is dense-only: at N = 7 build_mixed raises SizeLimitError
     before validating or setting up any spectral operator."""
-    from multiphoton import jmatrix
 
     def fail(*args, **kwargs):
         raise AssertionError("build_mixed did work before its size check")
 
-    for name in ("_check_slot_detectors", "_validate_block_states", "_photon_blocks"):
+    for name in ("_check_slot_detectors", "_validate_block_states", "_slot_draws", "_GramTable"):
         monkeypatch.setattr(jmatrix, name, fail)
     rho = MixedState.gaussian_time_jitter(0.0, 1.0, 0.5, nodes=8)
     with pytest.raises(SizeLimitError, match="build_cycle_compressed"):
@@ -1103,8 +1102,9 @@ def jitter(mean_time, nodes=3):
 
 @pytest.fixture
 def setup_counts(monkeypatch):
-    """Calls of the set-up work of the engines: span bases, mixed J builds,
-    and the Grams a jmatrix sweep computes itself."""
+    """Calls of the set-up work of the engines: span bases, Grams (those of
+    the Gram table and those a pure jmatrix sweep computes itself), and the
+    mixed J set-ups and the builds through them."""
     counts = Counter()
 
     def counting(name, fn):
@@ -1113,10 +1113,13 @@ def setup_counts(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(probability, "build_mixed",
-                        counting("build_mixed", probability.build_mixed))
-    monkeypatch.setattr(probability, "gram_matrix",
-                        counting("gram_matrix", probability.gram_matrix))
+    gram = counting("gram_matrix", spectral.gram_matrix)
+    for module in (spectral, probability):
+        monkeypatch.setattr(module, "gram_matrix", gram)
+    monkeypatch.setattr(jmatrix._MixedSetup, "__init__",
+                        counting("mixed_setup", jmatrix._MixedSetup.__init__))
+    monkeypatch.setattr(jmatrix._MixedSetup, "build",
+                        counting("mixed_build", jmatrix._MixedSetup.build))
     monkeypatch.setattr(SpanBasis, "__init__", counting("SpanBasis", SpanBasis.__init__))
     return counts
 
@@ -1154,7 +1157,7 @@ def test_mixed_jmatrix_sweep_builds_one_j_per_slot_detector_tuple(setup_counts):
     dist = output_distribution("jmatrix", u, n_occ, photons=photons, detectors=SWEEP_DETS)
     builds = len(distinct_slot_detectors(SWEEP_DETS, 3))
     assert builds < len(dist.results)
-    assert setup_counts["build_mixed"] == builds
+    assert setup_counts["mixed_setup"] == 1 and setup_counts["mixed_build"] == builds
 
     def one_output(m_occ):
         ls = mode_list(m_occ)
@@ -1171,12 +1174,64 @@ def test_mixed_jmatrix_sweep_with_ideal_detectors_builds_one_j(setup_counts):
     n_occ = (1,) * 5
     photons = [jitter(0.4 * i, nodes=8) for i in range(5)]
     dist = output_distribution("jmatrix", u, n_occ, photons=photons)
-    assert setup_counts["build_mixed"] == 1 and len(dist.results) == 126
+    assert setup_counts["mixed_setup"] == setup_counts["mixed_build"] == 1
+    assert len(dist.results) == 126
     assert dist.total == pytest.approx(1.0, abs=1e-9)
     for r in dist.results[::25]:
         jm = build_mixed(photons, (IDEAL,) * 5, output_modes=mode_list(r.m),
                          input_modes=mode_list(n_occ))
         assert abs(r.p - prob_jmatrix(jm, u, n_occ, r.m).p) <= 1e-15
+
+
+def test_mixed_jmatrix_sweep_sets_up_once(setup_counts, monkeypatch):
+    """Four 8-node jitter photons through fourier(4) under a different band
+    detector per mode: every output has its own slot-detector tuple, and the
+    sweep still makes one Gram per detector, one ideal-detector Gram for the
+    photons' factors and one factor eigh per photon (220 Grams and 140 eigh
+    calls when each build set itself up)."""
+    eigh = np.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        setup_counts["eigh"] += 1
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    u = fourier(4)
+    n_occ = (1, 1, 1, 1)
+    photons = [jitter(0.5 * i, nodes=8) for i in range(4)]
+    dets = [DetectorModel.gaussian_band(0.1 * l - 0.2, 1.0 + 0.2 * l, 1.0 - 0.05 * l)
+            for l in range(4)]
+    dist = output_distribution("jmatrix", u, n_occ, photons=photons, detectors=dets)
+    assert setup_counts == {"gram_matrix": len(dets) + 1, "eigh": len(photons),
+                            "mixed_setup": 1, "mixed_build": len(dist.results)}
+
+    def one_output(m_occ):
+        ls = mode_list(m_occ)
+        jm = build_mixed(photons, [dets[l] for l in ls], output_modes=ls,
+                         input_modes=mode_list(n_occ))
+        return prob_jmatrix(jm, u, n_occ, m_occ)
+
+    assert_sweep_matches_public_calls(dist, one_output)
+
+
+def test_mixed_jmatrix_sweep_memory_does_not_grow_with_draws():
+    """Two doubly occupied 12-node modes beside a 12-node photon give 144
+    joint draws, whose (5, 5, 12, 12) blocks would take 7.9 MiB together.
+    The set-up holds the Gram table and one factor per photon and forms
+    each draw's blocks in turn, so the sweep stays far below that."""
+    rho, sigma, other = (MixedState.gaussian_time_jitter(omega, 1.0, 0.5, mean_time=t, nodes=12)
+                         for omega, t in ((0.0, 0.0), (0.3, 0.6), (0.0, -0.4)))
+    photons, n_occ = [rho, rho, sigma, sigma, other], (2, 2, 1, 0, 0)
+    u = fourier(5)
+    output_distribution("jmatrix", u, n_occ, photons=photons)  # warms the S_5 tables
+    tracemalloc.start()
+    try:
+        dist = output_distribution("jmatrix", u, n_occ, photons=photons)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dist.total == pytest.approx(1.0, abs=1e-9)
+    assert peak < 2 * 2**20
 
 
 def test_permanent_sweep_computes_one_gram_per_detector(setup_counts):

@@ -394,6 +394,25 @@ def test_non_finite_spectral_input_is_refused(build):
         build()
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: DetectorModel("flat", eta=2.0), "flat efficiency"),
+    (lambda: DetectorModel("bogus"), "unknown detector kind"),
+    (lambda: DetectorModel("gaussianBand", width=0.0), "band width"),
+    (lambda: DetectorModel("gaussianBand", peak=1.5), "band peak"),
+    (lambda: DetectorModel("matrix"), "square matrix"),
+    (lambda: DetectorModel("matrix", entries=((0.5, 1.0), (0.0, 0.5))), "Hermitian"),
+    (lambda: DetectorModel("matrix", entries=((1.5, 0.0), (0.0, 0.5))), "eigenvalues"),
+    (lambda: DetectorModel.operator(np.ones(2)), "square matrix"),
+], ids=["flat-eta", "unknown-kind", "band-width", "band-peak", "matrix-none",
+        "matrix-not-hermitian", "matrix-eigenvalue", "operator-vector"])
+def test_detector_model_checks_itself(build, message):
+    """A model built directly is checked like one from its factory: a flat
+    eta of 2 would double every probability, an unknown kind would read as
+    ideal, and a zero band width would divide by zero."""
+    with pytest.raises(ValidationError, match=message):
+        build()
+
+
 def test_gram_factor_refuses_a_non_finite_gram():
     g = gram_matrix([GaussianState(0.0, 1.0), GaussianState(0.0, 1.0, 0.5)])
     g[0, 1] = NAN
