@@ -29,9 +29,13 @@ Two feeders fill a chunk's doubled columns and row sums:
 * ``permanent_ryser`` and ``permanent_ryser_batch`` read them from a (B, n, n)
   stack that the caller holds; the kernel adds the working arrays and the
   (B,) result to it;
-* ``permanent_gather_batch`` gathers them from an (n, n, n) array W for the
-  matrices A_p = W[rows, tau_p] of a (P, n) table of permutation images; the
-  P matrices never exist, and W adds n^3 numbers to the same bound.
+* ``permanent_gather_batch`` gathers them from an (n, K, n) array W for the
+  D T matrices A_{d T + t}[b, a] = W[b, offsets[d] + images[t, b], a] of D
+  offsets and a (T, n) image table, forming each chunk's indices in turn:
+  the tau route passes K = n, one zero offset and the permutation images
+  tau_t, the product fold one offset d r per draw and the basis tuples of
+  rank r. Neither the matrices nor a (D T, n) index exist; W, its doubled
+  columns and its row sums add 2 n^2 K numbers to the same bound.
 
 The arithmetic follows the dtype of the input: a real stack (bool, integer or
 float) runs in float64, anything else in complex128.  The public results are
@@ -164,33 +168,40 @@ def permanent_ryser(a: np.ndarray) -> complex:
 def permanent_ryser_batch(stack: np.ndarray) -> np.ndarray:
     """Permanents of a (B, n, n) stack as a complex (B,) array; same Glynn
     kernel, dtype rule, validation and cap as permanent_ryser, whose name it
-    shares for the same reason. Used by the probability engines for many
-    small permanents."""
+    shares for the same reason. Used by the tensor route of the general
+    engine for many small permanents."""
     return _glynn_stack(_check_stack(stack, 3)).astype(complex, copy=False)
 
 
-def permanent_gather_batch(w: np.ndarray, images: np.ndarray) -> np.ndarray:
-    """Permanents of the matrices A_p[b, a] = W[b, images[p, b], a] for every
-    row p of a (P, n) table of permutation images, as a complex (P,) array:
-    the same Glynn kernel, dtype rule and cap as permanent_ryser_batch, fed
-    by gathering each chunk's doubled columns and row sums from W instead of
-    from a materialised (P, n, n) stack. W must be a finite (n, n, n) array
-    and every image in 0 .. n - 1."""
+def permanent_gather_batch(w: np.ndarray, images: np.ndarray,
+                           offsets: np.ndarray | tuple[int, ...] = (0,)) -> np.ndarray:
+    """Permanents of the matrices A_{d T + t}[b, a] = W[b, offsets[d] + images[t, b], a]
+    for every offset d and every row t of a (T, n) image table, as a complex
+    (D T,) array: the same Glynn kernel, dtype rule and cap as
+    permanent_ryser_batch, fed by gathering each chunk's doubled columns and
+    row sums from W instead of from a materialised (D T, n, n) stack. W must
+    be a finite (n, K, n) array and every gathered index in 0 .. K - 1. The
+    default, one zero offset with K = n, gives A_t = W[rows, images[t]]."""
     w = np.asarray(w)
     w = w.astype(float if w.dtype.kind in "biuf" else complex, copy=False)
-    if w.ndim != 3 or not w.shape[0] == w.shape[1] == w.shape[2]:
-        raise ValidationError(f"expected an (n, n, n) array, got shape {w.shape}")
-    n = w.shape[0]
-    images = np.asarray(images)
-    if images.ndim != 2 or images.shape[1] != n or images.dtype.kind not in "iu":
-        raise ValidationError(f"expected a (P, {n}) integer image table, got {images.dtype} "
-                              f"of shape {images.shape}")
-    if images.size and (images.min() < 0 or images.max() >= n):
-        raise ValidationError(f"permutation images must lie in 0 .. {n - 1}")
+    if w.ndim != 3 or w.shape[0] != w.shape[2]:
+        raise ValidationError(f"expected an (n, K, n) array, got shape {w.shape}")
+    n, k, _ = w.shape
+    images, offsets = np.asarray(images), np.asarray(offsets)
+    if (images.ndim != 2 or images.shape[1] != n or offsets.ndim != 1
+            or images.dtype.kind not in "iu" or offsets.dtype.kind not in "iu"):
+        raise ValidationError(f"expected a (T, {n}) integer image table and (D,) integer "
+                              f"offsets, got {images.dtype} {images.shape} and "
+                              f"{offsets.dtype} {offsets.shape}")
+    count = len(offsets) * len(images)
+    if count and n and (int(offsets.min()) + int(images.min()) < 0
+                        or int(offsets.max()) + int(images.max()) >= k):
+        raise ValidationError(f"gathered indices must lie in 0 .. {k - 1}")
     if not np.all(np.isfinite(w)):
         raise ValidationError("matrix entries must be finite")
     if n == 0:
-        return np.ones(len(images), dtype=complex)
+        return np.ones(count, dtype=complex)
+    images, offsets = images.astype(np.intp, copy=False), offsets.astype(np.intp, copy=False)
     # doubled[b, a - 1, c] = 2 W[b, c, a] and row_sums[b, c] = sum_a W[b, c, a],
     # summed as the stack feeder sums its doubled columns
     doubled = np.multiply(w.transpose(0, 2, 1)[:, 1:], 2, order="C")
@@ -199,12 +210,18 @@ def permanent_gather_batch(w: np.ndarray, images: np.ndarray) -> np.ndarray:
     row_sums += w[:, :, 0]
 
     def form(start, size, steps, first):
+        index = np.empty((n, size), dtype=np.intp)
+        draw, row = divmod(start, len(images))
+        if row + size <= len(images):  # the chunk lies in the rows of one offset
+            np.add(images[row:row + size].T, offsets[draw], out=index)
+        else:
+            draw, row = np.divmod(np.arange(start, start + size), len(images))
+            np.add(images[row].T, offsets[draw], out=index)
         for b in range(n):
-            index = np.ascontiguousarray(images[start:start + size, b], dtype=np.intp)
-            np.take(doubled[b], index, axis=1, out=steps[b], mode="clip")
-            np.take(row_sums[b], index, out=first[b], mode="clip")
+            doubled[b].take(index[b], axis=1, out=steps[b], mode="clip")
+            row_sums[b].take(index[b], out=first[b], mode="clip")
 
-    return _glynn(n, len(images), w.dtype, form).astype(complex, copy=False)
+    return _glynn(n, count, w.dtype, form).astype(complex, copy=False)
 
 
 def permanent_laplace(a: np.ndarray, row_split: int) -> complex:

@@ -255,7 +255,7 @@ class _FoldSetup:
     """Set-up of the product fold. ``kind[det]`` indexes the detector axis of
     every group; each group holds the draws of one Gram-factor rank r as
     their weights (D,) and the (r, N) slot columns of each detector's Gram
-    factor, (D, detectors, r, N), C-contiguous."""
+    factor, (detectors, D, r, N), C-contiguous."""
 
     kind: dict
     groups: tuple[tuple[np.ndarray, np.ndarray], ...]
@@ -284,7 +284,7 @@ def _gram_draws(draws, detectors) -> _FoldSetup:
         weights, rows = by_rank.setdefault(r, ([], []))
         weights.append(weight)
         rows.append(padded)
-    groups = tuple((np.array(weights), np.stack(rows))
+    groups = tuple((np.array(weights), np.stack(rows, axis=1))
                    for r, (weights, rows) in by_rank.items() if r)
     return _FoldSetup(kind, groups, len(draws))
 
@@ -294,30 +294,31 @@ def _fold_output(setup: _FoldSetup, slot_dets: tuple[DetectorModel, ...],
     """P = (1/(mu(n) mu(m))) sum_draws p sum_j w_j |per(U[n|m] . S_j)|^2 over
     canonical tuples j, S_j[beta, alpha] = R_{l_alpha}[j_alpha, beta]: each
     slot's basis sum gives sum_j conj(R[j, b]) R[j, c] = G_{l_alpha}[b, c].
-    The (draw, tuple) pairs of each rank form one axis, cut into stacks of
-    at most RYSER_TEMP_ELEMENTS entries, one kernel chunk. Occupations are
+    The kernel gathers the transpose of U[n|m] . S_j of draw d from
+    W[alpha, d r + q, beta] = R_{d, l_alpha}[q, beta] U[k_beta, l_alpha] at
+    offset d r, for every tuple (``permanent_gather_batch``, the feeder of
+    the tau route), so no stack or (pairs, N) index exists: one call per
+    rank and block of draws, a block holding as many draws as keep W and
+    its permanents within RYSER_TEMP_ELEMENTS numbers each. A few draws
+    take one call; many draws never take one call each. Occupations are
     checked."""
     n = len(slot_dets)
     if n == 0:
         return _finalize(1.0 + 0j, m_occ, engine)
     usub_t = _usub(u, n_occ, m_occ).T
-    dets = np.array([setup.kind[det] for det in slot_dets])
-    step = max(1, RYSER_TEMP_ELEMENTS // (n * n))
+    dets = [setup.kind[det] for det in slot_dets]
     total, permanents = 0.0, 0
     for probs, factors in setup.groups:
-        _, kinds, r, _ = factors.shape
+        _, draws, r, _ = factors.shape
         tuples, weights = _output_tuples(r, m_occ)
-        flat = factors.reshape(-1, n)
-        size = len(probs) * len(tuples)
-        for start in range(0, size, step):
-            draw, j = np.divmod(np.arange(start, min(start + step, size)), len(tuples))
-            # rows R_{l_alpha}[j_alpha] of each draw: the transpose of U[n|m] . S_j,
-            # scaled in place (a second stack-sized array costs more than the gather)
-            stack = np.take(flat, (draw[:, None] * kinds + dets) * r + tuples[j], axis=0)
-            stack *= usub_t
-            pers = permanent_ryser_batch(stack)
-            total += (probs[draw] * weights[j]) @ (pers.real**2 + pers.imag**2)
-        permanents += size
+        block = max(1, RYSER_TEMP_ELEMENTS // max(len(tuples), r * n * n))
+        for start in range(0, draws, block):
+            w = factors[dets, start:start + block] * usub_t[:, None, None, :]
+            size = w.shape[1]
+            pers = permanent_gather_batch(w.reshape(n, size * r, n), tuples, np.arange(size) * r)
+            coefs = probs[start:start + size, None] * weights  # p_d w_t of pair d T + t
+            total += coefs.ravel() @ (pers.real**2 + pers.imag**2)
+        permanents += draws * len(tuples)
     log.debug("%s engine: product-fold route, N=%d, %d draws, %d permanents",
               engine, n, setup.draws, permanents)
     return _finalize(total / (mu(n_occ) * mu(m_occ)), m_occ, engine)
@@ -634,7 +635,8 @@ def _jmatrix_sweep(photons: Sequence[PureState | MixedState],
     only through its slot detectors: one ``_MixedSetup`` serves the sweep,
     one J is built from it per distinct slot-detector tuple (one at a time,
     since a dense J can be large) and each output takes it under its own
-    context."""
+    context. Returns the results, the Grams computed (for mixed photons,
+    those of the set-up's Gram table) and the J builds."""
     ks = mode_list(n_occ)
     results: list[ProbabilityResult] = [None] * len(outputs)  # type: ignore[list-item]
     if any(is_mixed(p) for p in photons):
@@ -648,7 +650,7 @@ def _jmatrix_sweep(photons: Sequence[PureState | MixedState],
                 m_occ = outputs[i]
                 results[i] = prob_jmatrix(replace(jm, output_modes=mode_list(m_occ)),
                                           u, n_occ, m_occ)
-        return results, 0, len(groups)
+        return results, len(setup.table.grams), len(groups)
     [(_, states)] = _slot_draws(photons, ks)  # single-component MixedStates too
     grams = {det: gram_matrix(states, det) for det in set().union(*slot_dets)}
     for i, (m_occ, dets) in enumerate(zip(outputs, slot_dets)):

@@ -258,21 +258,21 @@ def gram_matrix(states: Sequence[PureState], det: DetectorModel | None = None) -
 
 class _GramTable:
     """Detector-weighted Grams of distinct pure states: one ``gram_matrix``
-    per detector over all of them, computed on first use. Callers index
-    their states (``index``) and read sub-blocks (``block``); a state may
-    repeat among the rows."""
+    per detector over all of them, computed on first use and kept in
+    ``grams``. Callers index their states (``index``) and read sub-blocks
+    (``block``); a state may repeat among the rows."""
 
     def __init__(self, states: Iterable[PureState]):
         self._at = {s: i for i, s in enumerate(dict.fromkeys(states))}
-        self._grams: dict[DetectorModel, np.ndarray] = {}
+        self.grams: dict[DetectorModel, np.ndarray] = {}
 
     def index(self, states: Iterable[PureState]) -> np.ndarray:
         return np.array([self._at[s] for s in states], dtype=np.intp)
 
     def block(self, at: np.ndarray, det: DetectorModel) -> np.ndarray:
-        if det not in self._grams:
-            self._grams[det] = gram_matrix(list(self._at), det)
-        return self._grams[det][np.ix_(at, at)]
+        if det not in self.grams:
+            self.grams[det] = gram_matrix(list(self._at), det)
+        return self.grams[det][np.ix_(at, at)]
 
 
 def gram_factor(gram: np.ndarray) -> np.ndarray:

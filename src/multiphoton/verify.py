@@ -165,15 +165,20 @@ def run_checks(seed: int = 7, inject_fault: bool = False) -> list[dict]:
         "max_relative_error": worst_rel,
     })
 
+    def gather_error(w, images, offsets=(0,)) -> float:
+        """Largest relative gap between the permanents gathered from W and
+        those of the materialised stack."""
+        n, offsets = len(w), np.asarray(offsets)
+        gathered = permanent_gather_batch(w, images, offsets)
+        rows = (offsets[:, None, None] + images).reshape(-1, n)
+        stacked = permanent_ryser_batch(w[np.arange(n), rows])
+        return float(np.max(np.abs(gathered - stacked) / np.maximum(np.abs(stacked), 1e-300)))
+
     # permanents of the tau route: gathered from W against the materialised stack
     worst_rel = 0.0
     for n in range(1, 8):
         w = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
-        images = inverse_pairs(n).images
-        gathered = permanent_gather_batch(w, images)
-        stacked = permanent_ryser_batch(w[np.arange(n), images])
-        rel = np.abs(gathered - stacked) / np.maximum(np.abs(stacked), 1e-300)
-        worst_rel = max(worst_rel, float(np.max(rel)))
+        worst_rel = max(worst_rel, gather_error(w, inverse_pairs(n).images))
     checks.append({
         "name": "tau-gather-vs-stack",
         "pass": bool(worst_rel < 1e-13),
@@ -223,5 +228,22 @@ def run_checks(seed: int = 7, inject_fault: bool = False) -> list[dict]:
         "name": "permutation-tables",
         "pass": bool(mismatches == 0),
         "mismatches": int(mismatches),
+    })
+
+    # permanents of the product fold: basis tuples of rank r gathered at the
+    # offsets d r of D > 1 draws from one W of K = D r > n rows, against the
+    # materialised stack
+    worst_rel = 0.0
+    for n in range(1, 7):
+        r = int(rng.integers(1, n + 1))
+        offsets = np.arange(n // r + 1) * r
+        shape = (n, len(offsets) * r, n)
+        w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        images = rng.integers(0, r, (int(rng.integers(1, 50)), n))
+        worst_rel = max(worst_rel, gather_error(w, images, offsets))
+    checks.append({
+        "name": "fold-gather-vs-stack",
+        "pass": bool(worst_rel < 1e-13),
+        "max_relative_error": worst_rel,
     })
     return checks

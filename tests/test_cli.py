@@ -192,10 +192,12 @@ def test_verify_pass_and_fault_injection(tmp_path):
 def test_verify_checks_product_ensemble_then_permutation_tables(tmp_path):
     out = tmp_path / "verify.json"
     assert run(["verify", "--seed", "7", "--out", str(out)]) == 0
-    product, tables = json.loads(out.read_text())["checks"][-2:]
+    product, tables, fold = json.loads(out.read_text())["checks"][-3:]
     assert product["name"] == "product-ensemble-vs-photons" and product["pass"] is True
     assert product["max_discrepancy"] < 1e-12
     assert tables == {"name": "permutation-tables", "pass": True, "mismatches": 0}
+    assert fold["name"] == "fold-gather-vs-stack" and fold["pass"] is True
+    assert fold["max_relative_error"] < 1e-13
 
 
 def test_permutation_tables_check_flags_a_wrong_rank(monkeypatch):
@@ -204,8 +206,19 @@ def test_permutation_tables_check_flags_a_wrong_rank(monkeypatch):
 
     monkeypatch.setattr(verify, "_lehmer_rank",
                         lambda images: symgroup._lehmer_rank(images[..., ::-1]))
-    tables = verify.run_checks(seed=7)[-1]
+    tables = verify.run_checks(seed=7)[-2]
     assert tables["name"] == "permutation-tables" and tables["mismatches"] > 0
+
+
+def test_fold_gather_check_flags_ignored_offsets(monkeypatch):
+    """The fold check sees a gather that reads every draw at offset 0."""
+    from multiphoton import verify
+
+    gather = verify.permanent_gather_batch
+    monkeypatch.setattr(verify, "permanent_gather_batch",
+                        lambda w, images, offsets: gather(w, images, 0 * offsets))
+    fold = verify.run_checks(seed=7)[-1]
+    assert fold["name"] == "fold-gather-vs-stack" and fold["pass"] is False
 
 
 def test_verify_deterministic(tmp_path):

@@ -221,6 +221,54 @@ def test_gather_feeder_rejects_bad_input(rng):
         permanent_gather_batch(w[:, :2], images)
 
 
+def random_gather_source(rng, n, k, dtype):
+    real = rng.standard_normal((n, k, n))
+    return real + 1j * rng.standard_normal((n, k, n)) if dtype is complex else real
+
+
+@pytest.mark.parametrize("dtype", [complex, float])
+@pytest.mark.parametrize("n, r, draws", [(1, 2, 3), (3, 2, 2), (4, 3, 3), (5, 5, 2)])
+def test_offset_gather_equals_materialised_stack(rng, n, r, draws, dtype):
+    # W is (n, K, n) with K = draws r > n, one offset d r per draw; P = D T
+    # is 0, 1, a few, and on either side of a chunk boundary (a chunk holds
+    # RYSER_TEMP_ELEMENTS // n^2 matrices), with one offset and with several
+    k = draws * r
+    w = random_gather_source(rng, n, k, dtype)
+    rows = np.arange(n)
+    boundary = RYSER_TEMP_ELEMENTS // (n * n)
+    every, last = np.arange(draws) * r, np.array([k - r])
+    cases = [(every, 0), (every[:0], 5), (last, 1), (every, 5), (last, boundary - 1),
+             (last, boundary + 1), (every, boundary // draws), (every, boundary // draws + 1)]
+    for offsets, count in cases:
+        images = rng.integers(0, r, (count, n))
+        got = permanent_gather_batch(w, images, offsets)
+        want = permanent_ryser_batch(w[rows, (offsets[:, None, None] + images).reshape(-1, n)])
+        assert got.dtype == complex and got.shape == want.shape
+        # the stack feeder sums the rows of a chunk of one matrix by NumPy's
+        # pairwise reduction, so that last permanent may differ in its last bits
+        head = len(want) - (len(want) % boundary == 1)
+        assert np.array_equal(got[:head], want[:head]), (len(offsets), count)
+        assert np.all(np.abs(got[head:] - want[head:]) <= 1e-13 * np.abs(want[head:]))
+
+
+def test_offset_gather_rejects_bad_input(rng):
+    w = random_gather_source(rng, 3, 6, complex)
+    images = rng.integers(0, 3, (4, 3))
+    offsets = np.array([0, 3])
+    for table, shifts in ((images, offsets + 1), (images - 1, offsets), (images, offsets - 1),
+                          (images, offsets[:, None]), (images, offsets.astype(float))):
+        with pytest.raises(ValidationError):
+            permanent_gather_batch(w, table, shifts)
+    for bad in (np.nan, np.inf):
+        broken = w.copy()
+        broken[2, 5, 1] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            permanent_gather_batch(broken, images, offsets)
+    for shape in ((3, 6), (3, 6, 2), (2, 6, 3), (1, 3, 6, 3)):
+        with pytest.raises(ValidationError, match=r"\(n, K, n\)"):
+            permanent_gather_batch(np.zeros(shape), images, offsets)
+
+
 def test_batch_nonfinite_rejected(rng):
     stack = np.stack([random_complex(rng, 3) for _ in range(4)])
     stack[2, 1, 0] = np.nan

@@ -27,7 +27,8 @@ from multiphoton.jmatrix import (
 )
 from multiphoton.bosonsampling import BSParams, build_bs_jmatrix
 from multiphoton.network import enumerate_outputs, fourier, mode_list, mu, random_unitary
-from multiphoton.permanent import RYSER_TEMP_ELEMENTS, permanent_ryser_batch
+from multiphoton.permanent import (RYSER_TEMP_ELEMENTS, permanent_gather_batch,
+                                  permanent_ryser_batch)
 from multiphoton import jmatrix, probability, spectral
 from multiphoton.probability import (
     ENGINES,
@@ -1183,6 +1184,15 @@ def test_mixed_jmatrix_sweep_with_ideal_detectors_builds_one_j(setup_counts):
         assert abs(r.p - prob_jmatrix(jm, u, n_occ, r.m).p) <= 1e-15
 
 
+def four_jitter_photons():
+    """(u, n_occ, photons, dets): four 8-node jitter photons (4096 draws)
+    through fourier(4), a different band detector on every mode."""
+    photons = [jitter(0.5 * i, nodes=8) for i in range(4)]
+    dets = [DetectorModel.gaussian_band(0.1 * l - 0.2, 1.0 + 0.2 * l, 1.0 - 0.05 * l)
+            for l in range(4)]
+    return fourier(4), (1, 1, 1, 1), photons, dets
+
+
 def test_mixed_jmatrix_sweep_sets_up_once(setup_counts, monkeypatch):
     """Four 8-node jitter photons through fourier(4) under a different band
     detector per mode: every output has its own slot-detector tuple, and the
@@ -1196,11 +1206,7 @@ def test_mixed_jmatrix_sweep_sets_up_once(setup_counts, monkeypatch):
         return eigh(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    u = fourier(4)
-    n_occ = (1, 1, 1, 1)
-    photons = [jitter(0.5 * i, nodes=8) for i in range(4)]
-    dets = [DetectorModel.gaussian_band(0.1 * l - 0.2, 1.0 + 0.2 * l, 1.0 - 0.05 * l)
-            for l in range(4)]
+    u, n_occ, photons, dets = four_jitter_photons()
     dist = output_distribution("jmatrix", u, n_occ, photons=photons, detectors=dets)
     assert setup_counts == {"gram_matrix": len(dets) + 1, "eigh": len(photons),
                             "mixed_setup": 1, "mixed_build": len(dist.results)}
@@ -1232,6 +1238,47 @@ def test_mixed_jmatrix_sweep_memory_does_not_grow_with_draws():
         tracemalloc.stop()
     assert dist.total == pytest.approx(1.0, abs=1e-9)
     assert peak < 2 * 2**20
+
+
+def test_mixed_jmatrix_sweep_logs_the_grams_of_its_set_up(caplog):
+    """The mixed set-up's Gram table computes one Gram per detector and one
+    ideal-detector Gram; the sweep's set-up line counts them."""
+    u, n_occ, photons, dets = four_jitter_photons()
+    with caplog.at_level("DEBUG", logger="multiphoton.probability"):
+        output_distribution("jmatrix", u, n_occ, photons=photons, detectors=dets)
+    assert caplog.records[-1].getMessage() == (
+        "output_distribution: jmatrix engine, 35 outputs, set-up: 5 Grams, 35 J builds")
+
+
+def test_many_draw_fold_output_memory_stays_bounded(monkeypatch):
+    """One output of the four-photon sweep folds 4096 draws of rank 4 over
+    256 canonical tuples, about a million permanents. The fold gathers them
+    from one W per block of many draws, never one kernel call per draw, and
+    its traced peak stays under the set-up's factor array plus the kernel's
+    working set, (2 + 2/n) RYSER_TEMP_ELEMENTS numbers."""
+    u, n_occ, photons, dets = four_jitter_photons()
+    setup = probability._spectral_setup("permanent", photons, n_occ, set(dets))
+    assert setup.draws == 4096
+    calls = Counter()
+
+    def counting(*args):
+        calls["gather"] += 1
+        return permanent_gather_batch(*args)
+
+    monkeypatch.setattr(probability, "permanent_gather_batch", counting)
+    fold = partial(probability._fold_output, setup, tuple(dets), u, n_occ, n_occ, "permanent")
+    want = fold().p  # warms the canonical tuples
+    tracemalloc.start()
+    try:
+        assert fold().p == want
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < calls["gather"] <= setup.draws // 32
+    factor_bytes = sum(factors.nbytes for _, factors in setup.groups)
+    assert peak < factor_bytes + (2 + 2 / sum(n_occ)) * RYSER_TEMP_ELEMENTS * 16
+    jm = build_mixed(photons, dets, output_modes=mode_list(n_occ), input_modes=mode_list(n_occ))
+    assert abs(want - prob_jmatrix(jm, u, n_occ, n_occ).p) <= 1e-12
 
 
 def test_permanent_sweep_computes_one_gram_per_detector(setup_counts):
@@ -1291,7 +1338,7 @@ def test_sweep_names_its_set_up_in_debug_log(caplog):
     builds = len(distinct_slot_detectors(SWEEP_DETS, 2))
     assert [r.getMessage() for r in caplog.records
             if r.getMessage().startswith("output_distribution")] == [
-        f"output_distribution: jmatrix engine, 10 outputs, set-up: 0 Grams, {builds} J builds",
+        f"output_distribution: jmatrix engine, 10 outputs, set-up: 4 Grams, {builds} J builds",
         "output_distribution: jmatrix engine, 10 outputs, set-up: 3 Grams, 0 J builds",
         "output_distribution: permanent engine, 10 outputs, set-up: 1 Grams, 0 J builds",
         "output_distribution: general engine, 10 outputs, set-up: 1 Grams, 0 J builds",
