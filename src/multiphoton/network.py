@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -56,7 +57,10 @@ def random_unitary(m: int, seed: int) -> np.ndarray:
 
 
 def check_occupation(occ: Sequence[int], modes: int | None = None) -> tuple[int, ...]:
-    occ = tuple(int(x) for x in occ)
+    """``occ`` as a checked tuple of ints; a tuple of ints is returned itself,
+    so results keep the caller's tuple (``enumerate_outputs`` shares them)."""
+    if type(occ) is not tuple or any(type(x) is not int for x in occ):
+        occ = tuple(int(x) for x in occ)
     if any(x < 0 for x in occ):
         raise ValidationError(f"occupation numbers must be nonnegative: {occ}")
     if modes is not None and len(occ) != modes:
@@ -99,7 +103,9 @@ def enumerate_outputs(m: int, n: int) -> list[tuple[int, ...]]:
     """All compositions of n into m nonnegative parts.
 
     Canonical order is descending-lexicographic (first mode filled first),
-    e.g. M=2, N=2 -> [(2,0), (1,1), (0,2)].
+    e.g. M=2, N=2 -> [(2,0), (1,1), (0,2)]. Calls with the same (m, n) share
+    the tuples (the last 16 pairs are kept), and so do the results of the
+    sweeps that keep them.
     """
     if m < 1:
         raise ValidationError("need at least one mode")
@@ -108,7 +114,11 @@ def enumerate_outputs(m: int, n: int) -> list[tuple[int, ...]]:
         raise SizeLimitError(
             f"{count} output configurations exceed the cap of {MAX_OUTPUT_CONFIGS}"
         )
+    return list(_compositions(m, n))
 
+
+@lru_cache(maxsize=16)
+def _compositions(m: int, n: int) -> tuple[tuple[int, ...], ...]:
     def rec(modes: int, left: int):
         if modes == 1:
             yield (left,)
@@ -117,7 +127,7 @@ def enumerate_outputs(m: int, n: int) -> list[tuple[int, ...]]:
             for rest in rec(modes - 1, left - first):
                 yield (first,) + rest
 
-    return list(rec(m, n))
+    return tuple(rec(m, n))
 
 
 # -- JSON I/O ----------------------------------------------------------------

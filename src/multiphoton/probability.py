@@ -9,8 +9,9 @@ differ in the route:
   permanent per pair {tau, tau^-1} (J is Hermitian, so the two permanents
   are conjugate): (N! + I_N)/2 permanents, I_N the number of involutions; a
   J stored as a dense matrix through the N!^2 quadratic form X^dagger J X;
-* prob_permanent_basis: finite-basis sum of |per(U[n|m] . S(j))|^2 over basis
-  tuples (single photon or vacuum per input mode);
+* prob_permanent_basis: finite-basis sum of |per(U[n|m] . S(j))|^2 over the
+  basis tuples whose permanent is not structurally zero (single photon or
+  vacuum per input mode);
 * prob_general: the general ensemble formula with tensor coefficients C and
   permanents of Hadamard products U[n|m] . B(j, j') in the span basis, for
   ensembles given as tensors; an ensemble of product components
@@ -33,7 +34,10 @@ product fold share one route: each draw of N pure slot states takes the
 rows of S(j) from factors R_l^dagger R_l = G_l of its Gamma_l-weighted
 Grams (Tichy, PRA 91, 022316, 2015), sub-blocks of one Gram per detector
 over the distinct states of all draws (the Gram table of ``spectral``),
-which the mixed J builds read too.
+which the mixed J builds read too. Any such factor will do, and the fold
+takes the upper trapezoidal R of a QR decomposition: per(U[n|m] . S(j)) is
+then identically zero unless the tuple j meets Hall's condition, and only
+the tuples that do are evaluated, (N+1)^(N-1) of the N^N at rank r = N.
 
 Every engine raises EngineError on a non-finite probability.
 
@@ -95,8 +99,9 @@ class ProbabilityResult:
     clamped: bool = False
 
 
-def _finalize(raw: complex, m_occ: Sequence[int], engine: str,
+def _finalize(raw: complex, m_occ: tuple[int, ...], engine: str,
               imag_tol: float = IMAG_RESIDUAL_TOL) -> ProbabilityResult:
+    """The result for a checked output tuple, which it keeps as is."""
     raw = complex(raw)
     if not (math.isfinite(raw.real) and math.isfinite(raw.imag)):
         raise EngineError(f"{engine}: non-finite probability {raw}")
@@ -108,9 +113,9 @@ def _finalize(raw: complex, m_occ: Sequence[int], engine: str,
         if p < NEGATIVE_CLAMP:
             raise EngineError(f"{engine}: probability {p:.3e} below {NEGATIVE_CLAMP:g}")
         log.warning("%s: clamping probability %.3e to 0 for output %s",
-                    engine, p, tuple(m_occ))
+                    engine, p, m_occ)
         p, clamped = 0.0, True
-    return ProbabilityResult(tuple(int(x) for x in m_occ), float(p), engine,
+    return ProbabilityResult(m_occ, float(p), engine,
                              imag_residual=abs(raw.imag), clamped=clamped)
 
 
@@ -220,11 +225,10 @@ def _tau_permanent_sum(jm: JMatrix, usub: np.ndarray) -> complex:
 # -- permanent-basis engine -----------------------------------------------------
 
 
-@lru_cache(maxsize=128)
-def _canonical_tuples(r: int, sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+def _block_tuples(r: int, sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Basis tuples that are nondecreasing within each output block (blocks
     of the given sizes, in slot order), as a (T, N) index array, with the
-    count of their distinct rearrangements (T,); shared and read-only.
+    count of their distinct rearrangements (T,).
 
     Permuting basis indices among slots of the same output mode permutes whole
     columns of the Hadamard product, so |per| is constant on those orbits; the
@@ -241,21 +245,46 @@ def _canonical_tuples(r: int, sizes: tuple[int, ...]) -> tuple[np.ndarray, np.nd
     grid = np.indices([len(c) for c in combos]).reshape(len(combos), -1)  # product order
     tuples = np.concatenate([c[g] for c, g in zip(combos, grid)], axis=1)
     weights = np.prod([w[g] for w, g in zip(counts, grid)], axis=0)
-    tuples.setflags(write=False)
-    weights.setflags(write=False)
     return tuples, weights
 
 
-def _output_tuples(r: int, m_occ) -> tuple[np.ndarray, np.ndarray]:
-    return _canonical_tuples(r, tuple(int(c) for c in m_occ if c))
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@lru_cache(maxsize=128)
+def _canonical_tuples(r: int, sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """``_block_tuples``, shared and read-only: the tuples of the tensor route."""
+    return _read_only(*_block_tuples(r, sizes))
+
+
+@lru_cache(maxsize=128)
+def _hall_tuples(r: int, sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The ``_block_tuples`` of the product fold, shared and read-only: those
+    whose permanent can be nonzero when every slot's factor is upper
+    trapezoidal in slot order (R[q, beta] = 0 for q > beta). Column alpha
+    of U[n|m] . S_j is then zero above row j_alpha, so a permutation with a
+    nonzero product exists iff at most N - t slots carry j_alpha >= t for
+    every t (Hall's condition), that is, iff the sorted tuple has its i-th
+    entry at most i: the parking functions, (N+1)^(N-1) of the N^N tuples at
+    r = N. The condition counts slots, so each kept tuple keeps its weight."""
+    tuples, weights = _block_tuples(r, sizes)
+    keep = np.all(np.sort(tuples, axis=1) <= np.arange(tuples.shape[1]), axis=1)
+    return _read_only(tuples[keep], weights[keep])
+
+
+def _output_tuples(r: int, m_occ, table=_canonical_tuples) -> tuple[np.ndarray, np.ndarray]:
+    return table(r, tuple(int(c) for c in m_occ if c))
 
 
 @dataclass(frozen=True)
 class _FoldSetup:
     """Set-up of the product fold. ``kind[det]`` indexes the detector axis of
     every group; each group holds the draws of one Gram-factor rank r as
-    their weights (D,) and the (r, N) slot columns of each detector's Gram
-    factor, (detectors, D, r, N), C-contiguous."""
+    their weights (D,) and the (r, N) slot columns of each detector's upper
+    trapezoidal Gram factor, (detectors, D, r, N), C-contiguous."""
 
     kind: dict
     groups: tuple[tuple[np.ndarray, np.ndarray], ...]
@@ -263,30 +292,51 @@ class _FoldSetup:
 
 
 def _gram_draws(draws, detectors) -> _FoldSetup:
-    """Factor every (weight, N slot states) draw: per detector, the (r, N)
-    slot columns of the ``gram_factor`` of the Gram of its distinct states
-    (duplicates add no rank), zero-padded to r, the largest rank over the
-    detectors. Each draw's Gram is a sub-block of one Gram per detector over
-    the distinct states of all draws, read from their Gram table. Draws that
-    no detector sees (r = 0) are dropped."""
+    """Factor every (weight, N slot states) draw: per detector, the Gram of
+    its distinct states (duplicates add no rank) is factored by
+    ``gram_factor``, expanded to the draw's N slots, zero-padded to r, the
+    largest rank over the detectors, and replaced by the R of its QR
+    decomposition. That R is upper trapezoidal in slot order and R^dagger R
+    is the slot Gram up to rounding, with nothing divided, so the fold may
+    skip the tuples of ``_hall_tuples``. Each draw's Gram is a sub-block of
+    one Gram per detector over the distinct states of all draws, read from
+    their Gram table. The factoring is batched: one stacked eigh over the
+    detectors and draws with the same number of distinct states, and one
+    stacked QR per rank. Draws that no detector sees (r = 0) are dropped."""
     draws = list(draws)
     table = _GramTable(s for _, states in draws for s in states)
     kind = {det: i for i, det in enumerate(detectors)}
-    by_rank: dict[int, tuple[list, list]] = {}
-    for weight, states in draws:
+    if not kind:
+        return _FoldSetup(kind, (), len(draws))
+    by_size: dict[int, tuple[list, list, list]] = {}
+    for d, (_, states) in enumerate(draws):
         distinct = list(dict.fromkeys(states))
-        cols, at = [distinct.index(s) for s in states], table.index(distinct)
-        factors = [gram_factor(table.block(at, det)) for det in kind]
-        r = max((len(f) for f in factors), default=0)
-        padded = np.zeros((len(kind), r, len(states)), dtype=complex)
-        for f, out in zip(factors, padded):
-            out[:len(f)] = f[:, cols]
-        weights, rows = by_rank.setdefault(r, ([], []))
-        weights.append(weight)
-        rows.append(padded)
-    groups = tuple((np.array(weights), np.stack(rows, axis=1))
-                   for r, (weights, rows) in by_rank.items() if r)
-    return _FoldSetup(kind, groups, len(draws))
+        members, at, cols = by_size.setdefault(len(distinct), ([], [], []))
+        members.append(d)
+        at.append(table.index(distinct))
+        cols.append([distinct.index(s) for s in states])
+    ranks = np.zeros(len(draws), dtype=np.intp)
+    slot_factors = []  # per size: draws (D,) and (detectors, D, k, N) factors
+    for members, at, cols in by_size.values():
+        at, members = np.array(at), np.array(members)
+        factors, rank = gram_factor(np.stack([table.block(at, det) for det in kind]))
+        ranks[members] = rank.max(axis=0)
+        cols = np.array(cols)[None, :, None, :]
+        slot_factors.append((members, np.take_along_axis(factors, cols, axis=3)))
+    probs = np.array([weight for weight, _ in draws])
+    groups = []
+    for r in dict.fromkeys(ranks.tolist()):  # ranks in order of first draw
+        if not r:
+            continue
+        drawn, parts = [], []
+        for members, factors in slot_factors:
+            mask = ranks[members] == r
+            if mask.any():
+                drawn.append(members[mask])
+                parts.append(factors[:, mask, :r])
+        stack = np.concatenate(parts, axis=1)[:, np.argsort(np.concatenate(drawn))]
+        groups.append((probs[ranks == r], np.linalg.qr(stack, mode="r")))
+    return _FoldSetup(kind, tuple(groups), len(draws))
 
 
 def _fold_output(setup: _FoldSetup, slot_dets: tuple[DetectorModel, ...],
@@ -294,6 +344,8 @@ def _fold_output(setup: _FoldSetup, slot_dets: tuple[DetectorModel, ...],
     """P = (1/(mu(n) mu(m))) sum_draws p sum_j w_j |per(U[n|m] . S_j)|^2 over
     canonical tuples j, S_j[beta, alpha] = R_{l_alpha}[j_alpha, beta]: each
     slot's basis sum gives sum_j conj(R[j, b]) R[j, c] = G_{l_alpha}[b, c].
+    The factors of ``_gram_draws`` are upper trapezoidal, so only the tuples
+    of ``_hall_tuples`` are evaluated; the others have permanent exactly 0.
     The kernel gathers the transpose of U[n|m] . S_j of draw d from
     W[alpha, d r + q, beta] = R_{d, l_alpha}[q, beta] U[k_beta, l_alpha] at
     offset d r, for every tuple (``permanent_gather_batch``, the feeder of
@@ -310,7 +362,7 @@ def _fold_output(setup: _FoldSetup, slot_dets: tuple[DetectorModel, ...],
     total, permanents = 0.0, 0
     for probs, factors in setup.groups:
         _, draws, r, _ = factors.shape
-        tuples, weights = _output_tuples(r, m_occ)
+        tuples, weights = _output_tuples(r, m_occ, _hall_tuples)
         block = max(1, RYSER_TEMP_ELEMENTS // max(len(tuples), r * n * n))
         for start in range(0, draws, block):
             w = factors[dets, start:start + block] * usub_t[:, None, None, :]

@@ -260,7 +260,8 @@ class _GramTable:
     """Detector-weighted Grams of distinct pure states: one ``gram_matrix``
     per detector over all of them, computed on first use and kept in
     ``grams``. Callers index their states (``index``) and read sub-blocks
-    (``block``); a state may repeat among the rows."""
+    (``block``), one per row of an index stack; a state may repeat among
+    the rows."""
 
     def __init__(self, states: Iterable[PureState]):
         self._at = {s: i for i, s in enumerate(dict.fromkeys(states))}
@@ -270,21 +271,28 @@ class _GramTable:
         return np.array([self._at[s] for s in states], dtype=np.intp)
 
     def block(self, at: np.ndarray, det: DetectorModel) -> np.ndarray:
+        """(..., k, k) Grams of the states indexed by each row of a (..., k) stack."""
         if det not in self.grams:
             self.grams[det] = gram_matrix(list(self._at), det)
-        return self.grams[det][np.ix_(at, at)]
+        at = np.asarray(at)
+        return self.grams[det][at[..., :, None], at[..., None, :]]
 
 
-def gram_factor(gram: np.ndarray) -> np.ndarray:
-    """(r, n) factor R = sqrt(Lambda) V^dagger, R^dagger R = G, of a Hermitian
-    PSD Gram without its eigenvalues up to GRAM_TOL of the largest: the error
-    is linear in the dropped weight, and nothing is divided by sqrt(lambda).
-    A non-finite Gram raises ValidationError."""
-    if not np.all(np.isfinite(gram)):
+def gram_factor(grams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Factors R = sqrt(Lambda) V^dagger, R^dagger R = G, of a (..., n, n)
+    stack of Hermitian PSD Grams in one eigh, and their ranks (...). The
+    rows of each R run in descending eigenvalue order, and those of
+    eigenvalues up to GRAM_TOL of the largest are zero, so its first rank
+    rows hold it: the error is linear in the dropped weight, and nothing is
+    divided by sqrt(lambda). A non-finite Gram raises ValidationError."""
+    grams = np.asarray(grams)
+    if not np.all(np.isfinite(grams)):
         raise ValidationError("Gram matrix has non-finite entries")
-    w, v = np.linalg.eigh(gram)
-    keep = w > GRAM_TOL * max(w[-1], 0.0)
-    return np.sqrt(w[keep])[:, None] * v[:, keep].conj().T
+    w, v = np.linalg.eigh(grams)
+    w, v = w[..., ::-1], v[..., ::-1]
+    keep = w > GRAM_TOL * np.maximum(w[..., :1], 0.0)
+    roots = np.sqrt(np.where(keep, w, 0.0))
+    return roots[..., :, None] * v.conj().swapaxes(-1, -2), np.count_nonzero(keep, axis=-1)
 
 
 # -- span orthonormalization ------------------------------------------------------

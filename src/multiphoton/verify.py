@@ -20,7 +20,8 @@ from .permanent import (
     permanent_ryser,
     permanent_ryser_batch,
 )
-from .probability import GeneralEnsemble, output_distribution
+from .probability import (ORACLE_MAX_N, GeneralEnsemble, output_distribution, prob_jmatrix,
+                          prob_permanent_basis)
 from .spectral import IDEAL, DetectorModel, FiniteRankState, GaussianState, MixedState
 from .symgroup import _lehmer_rank, inverse_pairs, permutation_array, permutation_index
 
@@ -183,6 +184,32 @@ def run_checks(seed: int = 7, inject_fault: bool = False) -> list[dict]:
         "name": "tau-gather-vs-stack",
         "pass": bool(worst_rel < 1e-13),
         "max_relative_error": worst_rel,
+    })
+
+    # above the oracle's cap the product fold's arbiter is the tau route: one
+    # collision-free N = ORACLE_MAX_N + 1 output, a different band detector
+    # on every mode, drawn from a generator of its own so that the checks
+    # after it draw as before
+    own = np.random.default_rng([seed, 1])
+    n, m = ORACLE_MAX_N + 1, ORACLE_MAX_N + 2
+    u = random_unitary(m, int(own.integers(0, 2**31)))
+    n_occ, m_occ = (tuple(int(c) for c in np.bincount(own.choice(m, n, replace=False),
+                                                       minlength=m)) for _ in range(2))
+    photons = [GaussianState(omega=float(own.normal(0.0, 0.5)), delta=1.0,
+                             t=float(own.normal(0.0, 0.8))) for _ in range(n)]
+    detectors = [DetectorModel.gaussian_band(center=float(own.normal(0.0, 0.5)),
+                                             width=float(own.uniform(2.0, 6.0)),
+                                             peak=float(own.uniform(0.7, 1.0)))
+                 for _ in range(m)]
+    ls = mode_list(m_occ)
+    jm = build_pure(photons, tuple(detectors[l] for l in ls), output_modes=ls,
+                    input_modes=mode_list(n_occ))
+    gap = abs(prob_permanent_basis(photons, detectors, u, n_occ, m_occ).p
+              - prob_jmatrix(jm, u, n_occ, m_occ).p)
+    checks.append({
+        "name": "permanent-vs-jmatrix-above-oracle-cap",
+        "pass": bool(gap < 1e-12),
+        "max_discrepancy": gap,
     })
 
     # a from_photons ensemble against its photons, and the photons' mixed J

@@ -221,6 +221,23 @@ def test_fold_gather_check_flags_ignored_offsets(monkeypatch):
     assert fold["name"] == "fold-gather-vs-stack" and fold["pass"] is False
 
 
+def test_fold_check_above_oracle_cap_flags_a_dropped_tuple(monkeypatch):
+    """The N = 6 fold-against-tau check passes, and sees a fold that skips a
+    basis tuple whose permanent is not zero."""
+    from multiphoton import probability, verify
+
+    def find(checks):
+        [check] = [c for c in checks if c["name"] == "permanent-vs-jmatrix-above-oracle-cap"]
+        return check
+
+    check = find(verify.run_checks(seed=7))
+    assert check["pass"] is True and check["max_discrepancy"] < 1e-12
+    hall = probability._hall_tuples
+    monkeypatch.setattr(probability, "_hall_tuples",
+                        lambda r, sizes: tuple(a[1:] for a in hall(r, sizes)))
+    assert find(verify.run_checks(seed=7))["pass"] is False
+
+
 def test_verify_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert run(["verify", "--seed", "3", "--out", str(a)]) == 0

@@ -7,7 +7,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import markov_distribution
 from multiphoton.errors import (
@@ -28,7 +28,7 @@ from multiphoton.jmatrix import (
 from multiphoton.bosonsampling import BSParams, build_bs_jmatrix
 from multiphoton.network import enumerate_outputs, fourier, mode_list, mu, random_unitary
 from multiphoton.permanent import (RYSER_TEMP_ELEMENTS, permanent_gather_batch,
-                                  permanent_ryser_batch)
+                                  permanent_naive, permanent_ryser_batch)
 from multiphoton import jmatrix, probability, spectral
 from multiphoton.probability import (
     ENGINES,
@@ -521,7 +521,9 @@ def test_tau_route_names_itself_in_debug_log(caplog):
 
 def test_general_route_names_itself_in_debug_log(caplog):
     """A product ensemble takes the fold, also with more components than r^N;
-    an entangled hand-built tensor takes the tensor route."""
+    an entangled hand-built tensor takes the tensor route. The fold counts
+    the permanents it evaluates: of the r = 2 tuples of two slots, Hall's
+    condition drops (1, 1), whose permanent is zero under triangular factors."""
     u = random_unitary(3, 22)
     n_occ = (1, 1, 0)
     product = GeneralEnsemble.from_photons(gaussians(0.0, 0.5))
@@ -535,9 +537,9 @@ def test_general_route_names_itself_in_debug_log(caplog):
     with caplog.at_level("DEBUG", logger="multiphoton.probability"):
         results = [prob_general(ens, None, u, n_occ, m_occ).p for ens, m_occ in cases]
     assert [r.getMessage() for r in caplog.records] == [
-        "general engine: product-fold route, N=2, 1 draws, 4 permanents",
+        "general engine: product-fold route, N=2, 1 draws, 3 permanents",
         "general engine: tensor route, N=2, r=2, 4 canonical tuples, 16 permanents",
-        "general engine: product-fold route, N=2, 9 draws, 27 permanents",
+        "general engine: product-fold route, N=2, 9 draws, 18 permanents",
     ]
     for p, (ens, m_occ) in zip(results, cases):
         assert p == pytest.approx(prob_oracle(ens, None, u, n_occ, m_occ).p, abs=1e-12)
@@ -916,6 +918,85 @@ def test_product_fold_property_matches_oracle(case):
         assert max(abs(a.p - b.p) for a, b in zip(dist.results, want.results)) <= 1e-12
 
 
+@st.composite
+def hall_fold_cases(draw):
+    """Photons on N <= 5 slots in M <= N + 1 modes and one output, with
+    multi-occupancy on both sides and per-mode detectors that may differ.
+    Each input mode draws its state from a small pool, so one state may
+    repeat across input modes unless they are drawn distinct, pure or mixed
+    of two components: Gaussian
+    states, some 1e-6 and 1e-4 from t = 0 (a nearly singular span), under
+    ideal/flat/band detectors, or finite-rank states under
+    ideal/flat/matrix detectors."""
+    n = draw(st.integers(1, 5))
+    single = draw(st.booleans())  # one photon per input mode
+    m = draw(st.integers(n if single else 1, n + 1))
+    slots = st.lists(st.integers(0, m - 1), min_size=n, max_size=n)
+    if single:
+        n_occ = tuple(draw(st.permutations([1] * n + [0] * (m - n))))
+    else:
+        n_occ = tuple(int(c) for c in np.bincount(draw(slots), minlength=m))
+    m_occ = tuple(int(c) for c in np.bincount(draw(slots), minlength=m))
+    if draw(st.booleans()):
+        pure = st.sampled_from([-1.0, -0.3, 0.4, 1.0]).map(partial(_fold_state, finite=True))
+        pool = (IDEAL, DetectorModel.flat(0.7), _matrix_detector(1), _matrix_detector(2))
+        distinct = m <= 4 and draw(st.booleans())
+    else:
+        pure = st.builds(GaussianState, st.sampled_from([0.0, 0.8]), st.just(1.0),
+                         st.sampled_from([-1.0, -0.5, 0.0, 1e-6, 1e-4, 0.5, 1.0]))
+        pool = MIXED_DETECTORS + (DetectorModel.gaussian_band(-0.4, 0.8),)
+        distinct = draw(st.booleans())
+    by_mode = draw(st.lists(pure, min_size=m, max_size=m, unique=distinct))
+    for k, state in enumerate(by_mode):
+        if draw(st.booleans()):
+            weight = draw(st.floats(0.1, 0.9))
+            by_mode[k] = MixedState.ensemble([(weight, state), (1.0 - weight, draw(pure))])
+    dets = draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m))
+    photons = [by_mode[k] for k in mode_list(n_occ)]
+    return photons, dets, random_unitary(m, draw(st.integers(0, 2**16))), n_occ, m_occ
+
+
+def _hall(j, n) -> bool:
+    """At most n - t slots carry j_alpha >= t, for every t."""
+    return all(sum(q >= t for q in j) <= n - t for t in range(n))
+
+
+# r = N = 5 on a collision-free output, with a nearly singular span
+@example(([GaussianState(0.0, 1.0, t) for t in (-1.0, 0.0, 1e-6, 1e-4, 1.0)],
+          list(MIXED_DETECTORS) * 2, random_unitary(6, 5), (1, 1, 1, 1, 1, 0),
+          (0, 1, 1, 1, 1, 1)))
+@given(hall_fold_cases())
+@settings(deadline=None, max_examples=60)
+def test_hall_filtered_fold_property(case):
+    """Under the triangular Gram factors of the fold's set-up, every basis
+    tuple that Hall's condition drops has a permanent of exactly 0 (the
+    first draw of each rank, all r^N tuples through permanent_naive), the
+    fold reads exactly the canonical tuples that meet the condition, and the
+    filtered fold (general, and permanent on single-occupancy inputs) equals
+    the oracle."""
+    photons, dets, u, n_occ, m_occ = case
+    n = len(photons)
+    slot_dets = tuple(dets[l] for l in mode_list(m_occ))
+    setup = probability._spectral_setup("general", photons, n_occ, set(slot_dets))
+    usub = u[np.ix_(mode_list(n_occ), mode_list(m_occ))]
+    rows = [setup.kind[det] for det in slot_dets]
+    for _, factors in setup.groups:
+        r = factors.shape[2]
+        canonical, _ = probability._output_tuples(r, m_occ)
+        kept, _ = probability._output_tuples(r, m_occ, probability._hall_tuples)
+        assert kept.tolist() == [j for j in canonical.tolist() if _hall(j, n)]
+        first = factors[rows, 0]  # (slot alpha, q, beta)
+        for j in itertools.product(range(r), repeat=n):
+            if not _hall(j, n):
+                s_j = first[np.arange(n), list(j)].T  # S_j[beta, alpha] = R_alpha[j_alpha, beta]
+                assert permanent_naive(usub * s_j) == 0
+    want = prob_oracle(photons, dets, u, n_occ, m_occ).p
+    assert abs(prob_general(GeneralEnsemble.from_photons(photons, n_occ), dets, u, n_occ,
+                            m_occ).p - want) <= 1e-12
+    if max(n_occ) == 1:
+        assert abs(prob_permanent_basis(photons, dets, u, n_occ, m_occ).p - want) <= 1e-12
+
+
 def test_cycle_j_with_lossy_detector_matches_mixed_build_on_every_output():
     """A cycle J with one non-ideal detector on every slot does not depend on
     the output: it is accepted for every output and agrees with the dense
@@ -1279,6 +1360,40 @@ def test_many_draw_fold_output_memory_stays_bounded(monkeypatch):
     assert peak < factor_bytes + (2 + 2 / sum(n_occ)) * RYSER_TEMP_ELEMENTS * 16
     jm = build_mixed(photons, dets, output_modes=mode_list(n_occ), input_modes=mode_list(n_occ))
     assert abs(want - prob_jmatrix(jm, u, n_occ, n_occ).p) <= 1e-12
+
+
+def test_fold_set_up_factors_its_draws_in_stacks(monkeypatch):
+    """The fold's set-up makes one eigh per number of distinct slot states
+    and one QR per rank, however many draws there are: two of each for two
+    photons that share a component (one draw of one state, three of two),
+    one of each for the 4096 draws of four jitter photons. Every factor is
+    upper trapezoidal and gives its draw's slot Gram."""
+    calls = Counter()
+    for name in ("eigh", "qr"):
+        def counting(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+    a, b, c = gaussians(0.0, 0.7, 1.5)
+    photons = [MixedState.ensemble([(0.4, a), (0.6, b)]), MixedState.ensemble([(0.5, a), (0.5, c)])]
+    dets = (IDEAL, DetectorModel.gaussian_band(0.2, 1.1, 0.9))
+    setup = probability._spectral_setup("permanent", photons, (1, 1), set(dets))
+    assert calls == {"eigh": 2, "qr": 2}
+    draws = [states for _, states in GeneralEnsemble.from_photons(photons).components]
+    assert draws[0] == (a, a)
+    (one, single), (three, pairs) = setup.groups
+    assert single.shape[1:3] == (1, 1) and pairs.shape[1:3] == (3, 2)
+    assert one.tolist() == [0.2] and three.tolist() == [0.2, 0.3, 0.3]
+    for factors, states in [(single[:, 0], draws[0])] + list(zip(pairs.transpose(1, 0, 2, 3),
+                                                                 draws[1:])):
+        for det, at in setup.kind.items():
+            r = factors[at]
+            assert np.all(np.tril(r, -1) == 0)
+            assert np.allclose(r.conj().T @ r, spectral.gram_matrix(states, det), atol=1e-12)
+    calls.clear()
+    u, n_occ, photons, dets = four_jitter_photons()
+    setup = probability._spectral_setup("permanent", photons, n_occ, set(dets))
+    assert setup.draws == 4096 and calls == {"eigh": 1, "qr": 1}
 
 
 def test_permanent_sweep_computes_one_gram_per_detector(setup_counts):
