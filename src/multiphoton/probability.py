@@ -38,6 +38,14 @@ which the mixed J builds read too. Any such factor will do, and the fold
 takes the upper trapezoidal R of a QR decomposition: per(U[n|m] . S(j)) is
 then identically zero unless the tuple j meets Hall's condition, and only
 the tuples that do are evaluated, (N+1)^(N-1) of the N^N at rank r = N.
+One generator (_basis_tuples) builds the tuples of the fold and of the
+tensor route.
+
+Each spectral engine has one route for one output and for a sweep: a
+``permanent`` or ``general`` probability is a sweep over one output
+(_spectral_outputs, which sets up once and chooses the product fold or the
+tensor route once), and a ``jmatrix`` sweep builds one J per distinct
+slot-detector tuple, for pure and mixed photons alike.
 
 Every engine raises EngineError on a non-finite probability.
 
@@ -51,7 +59,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -99,14 +107,13 @@ class ProbabilityResult:
     clamped: bool = False
 
 
-def _finalize(raw: complex, m_occ: tuple[int, ...], engine: str,
-              imag_tol: float = IMAG_RESIDUAL_TOL) -> ProbabilityResult:
+def _finalize(raw: complex, m_occ: tuple[int, ...], engine: str) -> ProbabilityResult:
     """The result for a checked output tuple, which it keeps as is."""
     raw = complex(raw)
     if not (math.isfinite(raw.real) and math.isfinite(raw.imag)):
         raise EngineError(f"{engine}: non-finite probability {raw}")
-    if abs(raw.imag) > imag_tol * max(1.0, abs(raw.real)):
-        raise EngineError(f"{engine}: imaginary residual {raw.imag:.3e} exceeds {imag_tol:g}")
+    if abs(raw.imag) > IMAG_RESIDUAL_TOL * max(1.0, abs(raw.real)):
+        raise EngineError(f"{engine}: imaginary residual {raw.imag:.3e} exceeds {IMAG_RESIDUAL_TOL:g}")
     p = raw.real
     clamped = False
     if p < 0.0:
@@ -225,58 +232,48 @@ def _tau_permanent_sum(jm: JMatrix, usub: np.ndarray) -> complex:
 # -- permanent-basis engine -----------------------------------------------------
 
 
-def _block_tuples(r: int, sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Basis tuples that are nondecreasing within each output block (blocks
-    of the given sizes, in slot order), as a (T, N) index array, with the
-    count of their distinct rearrangements (T,).
+@lru_cache(maxsize=128)
+def _basis_tuples(r: int, sizes: tuple[int, ...], hall: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Basis tuples over r basis states that are nondecreasing within each
+    output block (blocks of the given sizes, in slot order), as a shared,
+    read-only (T, N) index array in lexicographic order, with the count of
+    their distinct rearrangements (T,).
 
     Permuting basis indices among slots of the same output mode permutes whole
     columns of the Hadamard product, so |per| is constant on those orbits; the
     weight makes the reduced sum equal to the full r^N tuple sum.
+
+    With ``hall``, the tuples of the product fold: those whose permanent can
+    be nonzero when every slot's factor is upper trapezoidal in slot order
+    (R[q, beta] = 0 for q > beta). Column alpha of U[n|m] . S_j is then zero
+    above row j_alpha, so a permutation with a nonzero product exists iff at
+    most N - t slots carry j_alpha >= t for every t (Hall's condition): the
+    parking functions, (N+1)^(N-1) of the N^N tuples at r = N. The condition
+    counts slots, so each kept tuple keeps its weight. The table grows block
+    by block, and a prefix that already breaks the condition is dropped
+    before any of its extensions is built: more slots only raise its counts.
     """
-    combos, counts = [], []
+    bound = sum(sizes) - np.arange(r)  # most slots allowed to carry an index >= t
+    tuples, weights = np.zeros((1, 0), dtype=np.intp), np.ones(1, dtype=np.int64)
+    above = np.zeros((1, r), dtype=np.intp)  # fold only: per tuple, the slots carrying an index >= t
     for size in sizes:
-        options = list(itertools.combinations_with_replacement(range(r), size))
-        combos.append(np.array(options, dtype=np.intp))
-        counts.append(np.array([
+        combos = np.array(list(itertools.combinations_with_replacement(range(r), size)),
+                          dtype=np.intp)
+        counts = np.array([
             math.factorial(size) // math.prod(math.factorial(c) for c in Counter(comb).values())
-            for comb in options
-        ]))
-    grid = np.indices([len(c) for c in combos]).reshape(len(combos), -1)  # product order
-    tuples = np.concatenate([c[g] for c, g in zip(combos, grid)], axis=1)
-    weights = np.prod([w[g] for w, g in zip(counts, grid)], axis=0)
+            for comb in combos.tolist()
+        ], dtype=np.int64)
+        if hall:
+            combo_above = np.count_nonzero(combos[:, :, None] >= np.arange(r), axis=1)
+            rows, cols = np.nonzero(np.all(above[:, None] + combo_above <= bound, axis=2))
+            above = above[rows] + combo_above[cols]
+        else:  # every extension is kept: no (T, C, r) count is formed
+            rows, cols = np.indices((len(tuples), len(combos))).reshape(2, -1)
+        tuples = np.concatenate([tuples[rows], combos[cols]], axis=1)
+        weights = weights[rows] * counts[cols]
+    tuples.setflags(write=False)
+    weights.setflags(write=False)
     return tuples, weights
-
-
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
-
-
-@lru_cache(maxsize=128)
-def _canonical_tuples(r: int, sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """``_block_tuples``, shared and read-only: the tuples of the tensor route."""
-    return _read_only(*_block_tuples(r, sizes))
-
-
-@lru_cache(maxsize=128)
-def _hall_tuples(r: int, sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The ``_block_tuples`` of the product fold, shared and read-only: those
-    whose permanent can be nonzero when every slot's factor is upper
-    trapezoidal in slot order (R[q, beta] = 0 for q > beta). Column alpha
-    of U[n|m] . S_j is then zero above row j_alpha, so a permutation with a
-    nonzero product exists iff at most N - t slots carry j_alpha >= t for
-    every t (Hall's condition), that is, iff the sorted tuple has its i-th
-    entry at most i: the parking functions, (N+1)^(N-1) of the N^N tuples at
-    r = N. The condition counts slots, so each kept tuple keeps its weight."""
-    tuples, weights = _block_tuples(r, sizes)
-    keep = np.all(np.sort(tuples, axis=1) <= np.arange(tuples.shape[1]), axis=1)
-    return _read_only(tuples[keep], weights[keep])
-
-
-def _output_tuples(r: int, m_occ, table=_canonical_tuples) -> tuple[np.ndarray, np.ndarray]:
-    return table(r, tuple(int(c) for c in m_occ if c))
 
 
 @dataclass(frozen=True)
@@ -298,9 +295,9 @@ def _gram_draws(draws, detectors) -> _FoldSetup:
     largest rank over the detectors, and replaced by the R of its QR
     decomposition. That R is upper trapezoidal in slot order and R^dagger R
     is the slot Gram up to rounding, with nothing divided, so the fold may
-    skip the tuples of ``_hall_tuples``. Each draw's Gram is a sub-block of
-    one Gram per detector over the distinct states of all draws, read from
-    their Gram table. The factoring is batched: one stacked eigh over the
+    skip the tuples that ``_basis_tuples`` drops. Each draw's Gram is a
+    sub-block of one Gram per detector over the distinct states of all
+    draws, read from their Gram table. The factoring is batched: one stacked eigh over the
     detectors and draws with the same number of distinct states, and one
     stacked QR per rank. Draws that no detector sees (r = 0) are dropped."""
     draws = list(draws)
@@ -345,7 +342,8 @@ def _fold_output(setup: _FoldSetup, slot_dets: tuple[DetectorModel, ...],
     canonical tuples j, S_j[beta, alpha] = R_{l_alpha}[j_alpha, beta]: each
     slot's basis sum gives sum_j conj(R[j, b]) R[j, c] = G_{l_alpha}[b, c].
     The factors of ``_gram_draws`` are upper trapezoidal, so only the tuples
-    of ``_hall_tuples`` are evaluated; the others have permanent exactly 0.
+    that meet Hall's condition (``_basis_tuples``) are evaluated; the others
+    have permanent exactly 0.
     The kernel gathers the transpose of U[n|m] . S_j of draw d from
     W[alpha, d r + q, beta] = R_{d, l_alpha}[q, beta] U[k_beta, l_alpha] at
     offset d r, for every tuple (``permanent_gather_batch``, the feeder of
@@ -355,14 +353,12 @@ def _fold_output(setup: _FoldSetup, slot_dets: tuple[DetectorModel, ...],
     take one call; many draws never take one call each. Occupations are
     checked."""
     n = len(slot_dets)
-    if n == 0:
-        return _finalize(1.0 + 0j, m_occ, engine)
     usub_t = _usub(u, n_occ, m_occ).T
     dets = [setup.kind[det] for det in slot_dets]
     total, permanents = 0.0, 0
     for probs, factors in setup.groups:
         _, draws, r, _ = factors.shape
-        tuples, weights = _output_tuples(r, m_occ, _hall_tuples)
+        tuples, weights = _basis_tuples(r, tuple(c for c in m_occ if c), hall=True)
         block = max(1, RYSER_TEMP_ELEMENTS // max(len(tuples), r * n * n))
         for start in range(0, draws, block):
             w = factors[dets, start:start + block] * usub_t[:, None, None, :]
@@ -383,11 +379,10 @@ def prob_permanent_basis(photons: Sequence[PureState | MixedState],
 
     Requires at most one photon per input mode. Mixed photons are averaged
     over their ensemble components (probability is linear in each photon's
-    density operator)."""
+    density operator). One output of ``_spectral_outputs``."""
     n_occ, m_occ, _ = _sizes(n_occ, m_occ, u.shape[0])
-    slot_dets = _slot_detectors(detectors, m_occ, u.shape[0])
-    setup = _spectral_setup("permanent", photons, n_occ, set(slot_dets))
-    return _fold_output(setup, slot_dets, u, n_occ, m_occ, "permanent")
+    [result], _ = _spectral_outputs("permanent", photons, detectors, u, n_occ, [m_occ])
+    return result
 
 
 def _slot_detectors(detectors: Sequence[DetectorModel] | None, m_occ,
@@ -528,7 +523,7 @@ def _tensor_output(setup: _TensorSetup, slot_dets: tuple[DetectorModel, ...],
     usub = _usub(u, n_occ, m_occ)
     rows = np.stack([setup.rows[det] for det in slot_dets])
     r = rows.shape[1]
-    tuples, weights = _output_tuples(r, m_occ)
+    tuples, weights = _basis_tuples(r, tuple(c for c in m_occ if c), hall=False)
     jp_tuples = np.indices((r,) * n).reshape(n, -1).T
     step = max(1, RYSER_TEMP_ELEMENTS // (r**n * n * n))
     total = 0.0
@@ -556,13 +551,31 @@ def prob_general(ensemble: GeneralEnsemble, detectors: Sequence[DetectorModel] |
     one permanent per basis tuple of its own Gram factors, exact whatever
     the number of components K, with no span basis. Components given as
     tensors (entangled) share the r^N permanents per tuple in the span
-    basis."""
+    basis. One output of ``_spectral_outputs``."""
     n_occ, m_occ, _ = _sizes(n_occ, m_occ, u.shape[0])
-    slot_dets = _slot_detectors(detectors, m_occ, u.shape[0])
-    setup = _spectral_setup("general", ensemble, n_occ, set(slot_dets))
+    [result], _ = _spectral_outputs("general", ensemble, detectors, u, n_occ, [m_occ])
+    return result
+
+
+def _spectral_outputs(engine: str, spectral, detectors: Sequence[DetectorModel] | None,
+                      u: np.ndarray, n_occ, outputs: Sequence[tuple[int, ...]]
+                      ) -> tuple[list[ProbabilityResult], int]:
+    """P(m|n) of the ``permanent`` or ``general`` engine on checked
+    occupations, the only route of both: one ``_spectral_setup`` over the
+    slot detectors of every output, then every output on the route it
+    chose, the product fold or the tensor route. Returns the results and the
+    Grams of the set-up (one per detector on the fold, none on the tensor
+    route). The vacuum, with no slot, has P = 1 on either route."""
+    slot_dets = [_slot_detectors(detectors, m_occ, u.shape[0]) for m_occ in outputs]
+    kinds = set().union(*slot_dets)
+    setup = _spectral_setup(engine, spectral, n_occ, kinds)
+    if not kinds:
+        return [_finalize(1.0 + 0j, m_occ, engine) for m_occ in outputs], 0
     if isinstance(setup, _FoldSetup):
-        return _fold_output(setup, slot_dets, u, n_occ, m_occ, "general")
-    return _tensor_output(setup, slot_dets, u, n_occ, m_occ)
+        route, grams = partial(_fold_output, engine=engine), len(kinds)
+    else:
+        route, grams = _tensor_output, 0
+    return [route(setup, dets, u, n_occ, m_occ) for m_occ, dets in zip(outputs, slot_dets)], grams
 
 
 # -- closed-form engines ----------------------------------------------------------
@@ -679,36 +692,35 @@ class DistributionResult:
 
 
 def _jmatrix_sweep(photons: Sequence[PureState | MixedState],
-                   slot_dets: list[tuple[DetectorModel, ...]], u: np.ndarray, n_occ,
+                   detectors: Sequence[DetectorModel] | None, u: np.ndarray, n_occ,
                    outputs: list[tuple[int, ...]]) -> tuple[list[ProbabilityResult], int, int]:
-    """Every output through prob_jmatrix, with the Grams and J builds done.
-    Pure photons (their single ``_slot_draws`` draw) stack each output's
-    slot Grams from one Gram per detector. A mixed J depends on the output
-    only through its slot detectors: one ``_MixedSetup`` serves the sweep,
-    one J is built from it per distinct slot-detector tuple (one at a time,
-    since a dense J can be large) and each output takes it under its own
-    context. Returns the results, the Grams computed (for mixed photons,
-    those of the set-up's Gram table) and the J builds."""
+    """Every output through prob_jmatrix, with the Grams and J builds done
+    once. The set-up reads its Grams from one Gram table: for pure photons
+    (their single ``_slot_draws`` draw) one Gram per detector over the slot
+    states, for mixed photons one ``_MixedSetup``. J depends on an output
+    only through its slot-detector tuple, so one J is built per distinct
+    tuple (one at a time, since a dense J can be large) and each output
+    takes it under its own context. Returns the results, the Grams of the
+    table and the J builds."""
     ks = mode_list(n_occ)
-    results: list[ProbabilityResult] = [None] * len(outputs)  # type: ignore[list-item]
+    groups: dict[tuple[DetectorModel, ...], list[int]] = {}
+    for i, m_occ in enumerate(outputs):
+        groups.setdefault(_slot_detectors(detectors, m_occ, u.shape[0]), []).append(i)
     if any(is_mixed(p) for p in photons):
-        groups: dict[tuple[DetectorModel, ...], list[int]] = {}
-        for i, dets in enumerate(slot_dets):
-            groups.setdefault(dets, []).append(i)
         setup = _MixedSetup(photons, ks)
-        for dets, members in groups.items():
-            jm = setup.build(dets)
-            for i in members:
-                m_occ = outputs[i]
-                results[i] = prob_jmatrix(replace(jm, output_modes=mode_list(m_occ)),
-                                          u, n_occ, m_occ)
-        return results, len(setup.table.grams), len(groups)
-    [(_, states)] = _slot_draws(photons, ks)  # single-component MixedStates too
-    grams = {det: gram_matrix(states, det) for det in set().union(*slot_dets)}
-    for i, (m_occ, dets) in enumerate(zip(outputs, slot_dets)):
-        jm = _pure_from_grams(grams, dets, output_modes=mode_list(m_occ))
-        results[i] = prob_jmatrix(jm, u, n_occ, m_occ)
-    return results, len(grams), 0
+        table, build = setup.table, setup.build
+    else:
+        [(_, states)] = _slot_draws(photons, ks)  # single-component MixedStates too
+        table = _GramTable(states)
+        at = table.index(states)
+        build = partial(_pure_from_grams, {det: table.block(at, det) for det in set().union(*groups)})
+    results: list[ProbabilityResult] = [None] * len(outputs)  # type: ignore[list-item]
+    for dets, members in groups.items():
+        jm = build(dets)
+        for i in members:
+            m_occ = outputs[i]
+            results[i] = prob_jmatrix(replace(jm, output_modes=mode_list(m_occ)), u, n_occ, m_occ)
+    return results, len(table.grams), len(groups)
 
 
 def output_distribution(engine: str, u: np.ndarray, n_occ, *,
@@ -718,15 +730,15 @@ def output_distribution(engine: str, u: np.ndarray, n_occ, *,
     """Probabilities of every output configuration |m| = N, in canonical
     (descending lexicographic) output order.
 
-    The output-independent set-up of an engine is done once per sweep: the
-    Gram factors of each draw and detector for ``permanent`` and ``general``
-    (the draws of the photons, whose slots in one input mode must carry the
-    same state, or the product components of an ensemble), from one Gram per
-    detector, the span-basis operators and checks of a ``general`` ensemble
-    given as tensors, and for ``jmatrix`` one Gram per detector (pure
-    photons) or one mixed set-up (draws, Gram table and photon factors) and
-    one J build per slot-detector tuple (mixed photons). Given both photons
-    and an ensemble, ``general`` reads the ensemble."""
+    Every engine takes one detector per mode (ValidationError otherwise),
+    and the output-independent set-up of an engine is done once per sweep:
+    for ``permanent`` and ``general``, the set-up of ``_spectral_outputs``
+    (the Gram factors of each draw and detector, from one Gram per detector,
+    or the span-basis operators and checks of an ensemble given as
+    tensors); for ``jmatrix``, one Gram per detector (pure photons) or one
+    mixed set-up (draws, Gram table and photon factors), and one J build per
+    distinct slot-detector tuple. Given both photons and an ensemble,
+    ``general`` reads the ensemble."""
     modes = u.shape[0]
     n_occ = check_occupation(n_occ, modes)
     n = sum(n_occ)
@@ -738,23 +750,15 @@ def output_distribution(engine: str, u: np.ndarray, n_occ, *,
         raise ValidationError(f"engine {engine!r} needs spectral data")
     if photons is not None and len(photons) != n:
         raise ValidationError(f"photon list length {len(photons)} != |n| = {n}")
+    if detectors is not None and len(detectors) != modes:
+        raise ValidationError(f"need one detector per mode: {len(detectors)} != {modes}")
     outputs = enumerate_outputs(modes, n)
     grams = builds = 0
     spectral = photons if engine == "permanent" or ensemble is None else ensemble
-    if engine in ("jmatrix", "permanent", "general"):
-        slot_dets = [_slot_detectors(detectors, m_occ, modes) for m_occ in outputs]
-        kinds = set().union(*slot_dets)
     if engine == "jmatrix":
-        results, grams, builds = _jmatrix_sweep(photons, slot_dets, u, n_occ, outputs)
+        results, grams, builds = _jmatrix_sweep(photons, detectors, u, n_occ, outputs)
     elif engine in ("permanent", "general"):
-        setup = _spectral_setup(engine, spectral, n_occ, kinds)
-        if isinstance(setup, _FoldSetup):
-            grams = len(kinds)
-            results = [_fold_output(setup, dets, u, n_occ, m_occ, engine)
-                       for m_occ, dets in zip(outputs, slot_dets)]
-        else:
-            results = [_tensor_output(setup, dets, u, n_occ, m_occ)
-                       for m_occ, dets in zip(outputs, slot_dets)]
+        results, grams = _spectral_outputs(engine, spectral, detectors, u, n_occ, outputs)
     elif engine == "oracle":
         results = [prob_oracle(spectral, detectors, u, n_occ, m_occ) for m_occ in outputs]
     elif engine == "classical":

@@ -232,9 +232,9 @@ def test_fold_check_above_oracle_cap_flags_a_dropped_tuple(monkeypatch):
 
     check = find(verify.run_checks(seed=7))
     assert check["pass"] is True and check["max_discrepancy"] < 1e-12
-    hall = probability._hall_tuples
-    monkeypatch.setattr(probability, "_hall_tuples",
-                        lambda r, sizes: tuple(a[1:] for a in hall(r, sizes)))
+    tuples = probability._basis_tuples
+    monkeypatch.setattr(probability, "_basis_tuples",
+                        lambda r, sizes, hall: tuple(a[1:] for a in tuples(r, sizes, hall)))
     assert find(verify.run_checks(seed=7))["pass"] is False
 
 

@@ -455,18 +455,20 @@ def test_completely_distinguishable_limit():
 
 def test_vacuum_input():
     """Every engine gives the vacuum output with P = 1 for the vacuum input,
-    from no photons and, for ``general`` and ``oracle``, from their empty
-    product ensemble."""
+    from no photons and, for ``general`` and ``oracle``, from an empty
+    product ensemble and from a tensor ensemble of zero photons."""
     u = fourier(3)
     assert prob_oracle([], None, u, (0, 0, 0), (0, 0, 0)).p == pytest.approx(1.0)
     assert prob_classical(u, (0, 0, 0), (0, 0, 0)).p == pytest.approx(1.0)
     for engine in ENGINES:
         dist = output_distribution(engine, u, (0, 0, 0), photons=[])
         assert [(r.m, r.p, r.engine) for r in dist.results] == [((0, 0, 0), 1.0, engine)]
-    vacuum = GeneralEnsemble.from_photons([], (0, 0, 0))
-    for engine in ("general", "oracle"):
-        dist = output_distribution(engine, u, (0, 0, 0), ensemble=vacuum)
-        assert [(r.m, r.p, r.engine) for r in dist.results] == [((0, 0, 0), 1.0, engine)]
+    tensor = GeneralEnsemble(SpanBasis([FiniteRankState([1.0, 0.0])]), ((1.0, np.array(1.0)),))
+    for vacuum in (GeneralEnsemble.from_photons([], (0, 0, 0)), tensor):
+        assert prob_general(vacuum, None, u, (0, 0, 0), (0, 0, 0)).p == 1.0
+        for engine in ("general", "oracle"):
+            dist = output_distribution(engine, u, (0, 0, 0), ensemble=vacuum)
+            assert [(r.m, r.p, r.engine) for r in dist.results] == [((0, 0, 0), 1.0, engine)]
 
 
 MIXED_DETECTORS = (IDEAL, DetectorModel.flat(0.8),
@@ -958,7 +960,7 @@ def hall_fold_cases(draw):
 
 def _hall(j, n) -> bool:
     """At most n - t slots carry j_alpha >= t, for every t."""
-    return all(sum(q >= t for q in j) <= n - t for t in range(n))
+    return all(sum(q >= t for q in j) <= n - t for t in range(n + 1))
 
 
 # r = N = 5 on a collision-free output, with a nearly singular span
@@ -982,8 +984,9 @@ def test_hall_filtered_fold_property(case):
     rows = [setup.kind[det] for det in slot_dets]
     for _, factors in setup.groups:
         r = factors.shape[2]
-        canonical, _ = probability._output_tuples(r, m_occ)
-        kept, _ = probability._output_tuples(r, m_occ, probability._hall_tuples)
+        sizes = tuple(c for c in m_occ if c)
+        canonical, _ = probability._basis_tuples(r, sizes, False)
+        kept, _ = probability._basis_tuples(r, sizes, True)
         assert kept.tolist() == [j for j in canonical.tolist() if _hall(j, n)]
         first = factors[rows, 0]  # (slot alpha, q, beta)
         for j in itertools.product(range(r), repeat=n):
@@ -995,6 +998,63 @@ def test_hall_filtered_fold_property(case):
                             m_occ).p - want) <= 1e-12
     if max(n_occ) == 1:
         assert abs(prob_permanent_basis(photons, dets, u, n_occ, m_occ).p - want) <= 1e-12
+
+
+def _orbit_reference(r: int, sizes: tuple[int, ...]) -> list:
+    """Every one of the r^N tuples sorted within each output block, as
+    (representative, orbit size) pairs in lexicographic order."""
+    ends = list(itertools.accumulate(sizes))
+    orbits = Counter(
+        tuple(q for a, b in zip([0] + ends, ends) for q in sorted(j[a:b]))
+        for j in itertools.product(range(r), repeat=sum(sizes)))
+    return sorted(orbits.items())
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_basis_tuples_match_orbit_reference(n):
+    """Both tuple tables, for every block-size pattern of N photons and every
+    r <= N + 1, equal the block-sorted orbits of all r^N tuples with their
+    orbit sizes as weights; the fold's table keeps those that meet Hall's
+    condition, in the same order."""
+    patterns = [c for k in range(1, n + 1) for c in itertools.product(range(1, n + 1), repeat=k)
+                if sum(c) == n]
+    for sizes in patterns:
+        for r in range(1, n + 2):
+            orbits = _orbit_reference(r, sizes)
+            for hall in (False, True):
+                tuples, weights = probability._basis_tuples(r, sizes, hall)
+                assert not tuples.flags.writeable and not weights.flags.writeable
+                got = list(zip(map(tuple, tuples.tolist()), weights.tolist()))
+                assert got == [(j, w) for j, w in orbits if not hall or _hall(j, n)]
+
+
+def test_hall_table_never_holds_the_dropped_tuples():
+    """N = r = 7 on a collision-free output: the fold keeps 8^6 of the 7^7
+    tuples, and building its table block by block stays far below the
+    182 MiB traced peak of building every tuple and then filtering."""
+    tracemalloc.start()
+    try:
+        tuples, weights = probability._basis_tuples.__wrapped__(7, (1,) * 7, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tuples.shape == (8**6, 7) and np.all(weights == 1)
+    assert peak < 96 * 2**20
+
+
+@pytest.mark.parametrize("r, sizes", [(300, (1, 1)), (60, (1, 1, 1)), (30, (2, 2))])
+def test_tensor_table_costs_a_small_multiple_of_itself(r, sizes):
+    """The tensor route's table keeps every tuple, and its rank r is bounded
+    by the span basis, not by N: building it forms no (T, C, r) Hall count,
+    so its traced peak stays within 4 times the table it returns."""
+    tracemalloc.start()
+    try:
+        tuples, weights = probability._basis_tuples.__wrapped__(r, sizes, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tuples) == math.prod(math.comb(r + s - 1, s) for s in sizes)
+    assert peak < 4 * (tuples.nbytes + weights.nbytes)
 
 
 def test_cycle_j_with_lossy_detector_matches_mixed_build_on_every_output():
@@ -1184,8 +1244,7 @@ def jitter(mean_time, nodes=3):
 
 @pytest.fixture
 def setup_counts(monkeypatch):
-    """Calls of the set-up work of the engines: span bases, Grams (those of
-    the Gram table and those a pure jmatrix sweep computes itself), and the
+    """Calls of the set-up work of the engines: span bases, Grams, and the
     mixed J set-ups and the builds through them."""
     counts = Counter()
 
@@ -1439,6 +1498,24 @@ def test_oracle_sweep_matches_public_calls():
         dist, lambda m_occ: prob_oracle(photons, SWEEP_DETS, u, n_occ, m_occ))
 
 
+@pytest.mark.parametrize("engine", ["general", "oracle"])
+def test_tensor_ensemble_sweep_matches_public_calls(engine, caplog):
+    """An ensemble given as tensors, on a multi-occupancy input under matrix
+    detectors: the sweep (the tensor route of general, the tensor
+    contractions of the oracle) equals the single-output call on every
+    output."""
+    n_occ, photons = _fold_case("multi", finite=True)
+    dets = FOLD_DETECTORS["matrix"]
+    u = random_unitary(4, 77)
+    ensemble = tensor_ensemble(photons, n_occ)
+    with caplog.at_level("DEBUG", logger="multiphoton.probability"):
+        dist = output_distribution(engine, u, n_occ, ensemble=ensemble, detectors=dets)
+    assert any("tensor route" in r.getMessage() for r in caplog.records) == (engine == "general")
+    one_output = {"general": prob_general, "oracle": prob_oracle}[engine]
+    assert_sweep_matches_public_calls(
+        dist, lambda m_occ: one_output(ensemble, dets, u, n_occ, m_occ))
+
+
 def test_sweep_names_its_set_up_in_debug_log(caplog):
     u = random_unitary(4, 76)
     n_occ = (1, 0, 1, 0)
@@ -1454,7 +1531,7 @@ def test_sweep_names_its_set_up_in_debug_log(caplog):
     assert [r.getMessage() for r in caplog.records
             if r.getMessage().startswith("output_distribution")] == [
         f"output_distribution: jmatrix engine, 10 outputs, set-up: 4 Grams, {builds} J builds",
-        "output_distribution: jmatrix engine, 10 outputs, set-up: 3 Grams, 0 J builds",
+        f"output_distribution: jmatrix engine, 10 outputs, set-up: 3 Grams, {builds} J builds",
         "output_distribution: permanent engine, 10 outputs, set-up: 1 Grams, 0 J builds",
         "output_distribution: general engine, 10 outputs, set-up: 1 Grams, 0 J builds",
         "output_distribution: ideal engine, 10 outputs, set-up: 0 Grams, 0 J builds",
@@ -1502,6 +1579,36 @@ def test_ensemble_engines_check_the_photon_number(engine):
     ens = GeneralEnsemble.from_photons(gaussians(0.0, 0.5))
     with pytest.raises(ValidationError, match="ensemble describes 2 photons, instance has 3"):
         output_distribution(engine, fourier(3), (1, 1, 1), ensemble=ens)
+
+
+@pytest.mark.parametrize("n_occ", [(2, 0, 1, 1), (1, 3, 0, 1)])
+def test_product_ensemble_draws_match_an_independent_product(n_occ):
+    """The draws that every engine reads, through from_photons, formed here
+    without the package: one ensemble component per occupied input mode, the
+    product over the modes in order, the photons of a mode sharing its
+    component, weights multiplied."""
+    a, b, c, d, e = gaussians(0.0, 0.4, 0.9, -0.6, 1.3)
+    by_mode = [MixedState.ensemble([(0.3, a), (0.7, b)]), jitter(0.5), c,
+               MixedState.ensemble([(0.25, d), (0.75, e)])]
+    slots = mode_list(n_occ)
+    modes = sorted(set(slots))
+    axes = [by_mode[k].components if isinstance(by_mode[k], MixedState) else [(1.0, by_mode[k])]
+            for k in modes]
+    want = []
+    for draw in itertools.product(*axes):
+        state = dict(zip(modes, draw))
+        want.append((math.prod(w for w, _ in draw), tuple(state[k][1] for k in slots)))
+    got = GeneralEnsemble.from_photons([by_mode[k] for k in slots], n_occ).components
+    assert len(got) == len(want) == math.prod(len(axis) for axis in axes)
+    for (weight, states), (want_weight, want_states) in zip(got, want):
+        assert abs(weight - want_weight) <= 1e-15 and states == want_states
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_every_engine_needs_one_detector_per_mode(engine):
+    with pytest.raises(ValidationError, match="need one detector per mode: 2 != 3"):
+        output_distribution(engine, fourier(3), (1, 1, 0), photons=gaussians(0.0, 0.5),
+                            detectors=[IDEAL] * 2)
 
 
 def test_general_ensemble_needs_a_component():
