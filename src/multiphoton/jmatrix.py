@@ -290,8 +290,13 @@ def build_mixed(states: Sequence[PureState | MixedState],
     traces of ``_labelled_cycle_weights`` gathered by relative position.
 
     Dense-only (N <= DENSE_CAP); identical sources with identical detectors
-    have the cycle-compressed form ``build_cycle_compressed`` at any N.
+    have the cycle-compressed form ``build_cycle_compressed`` at any N. No
+    photons give the N = 0 J, [[1]] on the one permutation of no slots.
     """
+    if not states:
+        return JMatrix(0, "dense", dense=np.ones((1, 1), dtype=complex),
+                       output_modes=tuple(output_modes) if output_modes is not None else None,
+                       detectors=_check_slot_detectors(0, detectors))
     return _MixedSetup(states, input_modes).build(detectors, output_modes)
 
 

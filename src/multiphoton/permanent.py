@@ -34,8 +34,10 @@ Two feeders fill a chunk's doubled columns and row sums:
   offsets and a (T, n) image table, forming each chunk's indices in turn:
   the tau route passes K = n, one zero offset and the permutation images
   tau_t, the product fold one offset d r per draw and the basis tuples of
-  rank r. Neither the matrices nor a (D T, n) index exist; W, its doubled
-  columns and its row sums add 2 n^2 K numbers to the same bound.
+  rank r, the tensor route of the general engine one offset t r per
+  canonical tuple and every tuple over the r span-basis states. Neither
+  the matrices nor a (D T, n) index exist; W, its doubled columns and its
+  row sums add 2 n^2 K numbers to the same bound.
 
 The arithmetic follows the dtype of the input: a real stack (bool, integer or
 float) runs in float64, anything else in complex128.  The public results are
@@ -168,8 +170,9 @@ def permanent_ryser(a: np.ndarray) -> complex:
 def permanent_ryser_batch(stack: np.ndarray) -> np.ndarray:
     """Permanents of a (B, n, n) stack as a complex (B,) array; same Glynn
     kernel, dtype rule, validation and cap as permanent_ryser, whose name it
-    shares for the same reason. Used by the tensor route of the general
-    engine for many small permanents."""
+    shares for the same reason: the public entry point for a stack that the
+    caller holds. The engines gather their matrices instead
+    (``permanent_gather_batch``)."""
     return _glynn_stack(_check_stack(stack, 3)).astype(complex, copy=False)
 
 

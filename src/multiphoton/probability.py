@@ -39,7 +39,8 @@ takes the upper trapezoidal R of a QR decomposition: per(U[n|m] . S(j)) is
 then identically zero unless the tuple j meets Hall's condition, and only
 the tuples that do are evaluated, (N+1)^(N-1) of the N^N at rank r = N.
 One generator (_basis_tuples) builds the tuples of the fold and of the
-tensor route.
+tensor route, and both gather their permanents from W in blocks through
+one helper (_gathered_permanents), as the tau route gathers its own.
 
 Each spectral engine has one route for one output and for a sweep: a
 ``permanent`` or ``general`` probability is a sweep over one output
@@ -72,8 +73,7 @@ from .errors import (
 )
 from .jmatrix import JMatrix, _MixedSetup, _pure_from_grams, _slot_draws, _validate_block_states
 from .network import check_occupation, enumerate_outputs, mode_list, mu
-from .permanent import (RYSER_TEMP_ELEMENTS, permanent_gather_batch, permanent_ryser,
-                         permanent_ryser_batch)
+from .permanent import RYSER_TEMP_ELEMENTS, permanent_gather_batch, permanent_ryser
 from .spectral import (
     IDEAL,
     DetectorModel,
@@ -291,81 +291,75 @@ class _FoldSetup:
 def _gram_draws(draws, detectors) -> _FoldSetup:
     """Factor every (weight, N slot states) draw: per detector, the Gram of
     its distinct states (duplicates add no rank) is factored by
-    ``gram_factor``, expanded to the draw's N slots, zero-padded to r, the
-    largest rank over the detectors, and replaced by the R of its QR
-    decomposition. That R is upper trapezoidal in slot order and R^dagger R
-    is the slot Gram up to rounding, with nothing divided, so the fold may
-    skip the tuples that ``_basis_tuples`` drops. Each draw's Gram is a
-    sub-block of one Gram per detector over the distinct states of all
-    draws, read from their Gram table. The factoring is batched: one stacked eigh over the
-    detectors and draws with the same number of distinct states, and one
-    stacked QR per rank. Draws that no detector sees (r = 0) are dropped."""
+    ``gram_factor``, expanded to the draw's N slots, cut to r, the largest
+    rank over the detectors, and replaced by the R of its QR decomposition.
+    That R is upper trapezoidal in slot order and R^dagger R is the slot Gram
+    up to rounding, with nothing divided, so the fold may skip the tuples
+    that ``_basis_tuples`` drops. Each draw's Gram is a sub-block of one Gram
+    per detector over the distinct states of all draws, read from their Gram
+    table. The factoring is batched: the Grams are zero-padded to the largest
+    number of distinct states, whose padding adds only zero eigenvalues, for
+    one stacked eigh over the detectors and draws, and the draws of each rank
+    take one stacked QR. Draws that no detector sees (r = 0) are dropped."""
     draws = list(draws)
     table = _GramTable(s for _, states in draws for s in states)
     kind = {det: i for i, det in enumerate(detectors)}
     if not kind:
         return _FoldSetup(kind, (), len(draws))
-    by_size: dict[int, tuple[list, list, list]] = {}
-    for d, (_, states) in enumerate(draws):
-        distinct = list(dict.fromkeys(states))
-        members, at, cols = by_size.setdefault(len(distinct), ([], [], []))
-        members.append(d)
-        at.append(table.index(distinct))
-        cols.append([distinct.index(s) for s in states])
-    ranks = np.zeros(len(draws), dtype=np.intp)
-    slot_factors = []  # per size: draws (D,) and (detectors, D, k, N) factors
-    for members, at, cols in by_size.values():
-        at, members = np.array(at), np.array(members)
-        factors, rank = gram_factor(np.stack([table.block(at, det) for det in kind]))
-        ranks[members] = rank.max(axis=0)
-        cols = np.array(cols)[None, :, None, :]
-        slot_factors.append((members, np.take_along_axis(factors, cols, axis=3)))
+    distinct = [list(dict.fromkeys(states)) for _, states in draws]
+    valid = np.arange(max(map(len, distinct))) < np.array([len(d) for d in distinct])[:, None]
+    at = np.zeros(valid.shape, dtype=np.intp)
+    at[valid] = table.index(s for states in distinct for s in states)
+    grams = np.stack([table.block(at, det) for det in kind])
+    factors, rank = gram_factor(np.where(valid[:, :, None] & valid[:, None, :], grams, 0))
+    ranks = rank.max(axis=0)
+    cols = np.array([[d.index(s) for s in states] for d, (_, states) in zip(distinct, draws)])
+    factors = np.take_along_axis(factors, cols[None, :, None, :], axis=3)
     probs = np.array([weight for weight, _ in draws])
-    groups = []
-    for r in dict.fromkeys(ranks.tolist()):  # ranks in order of first draw
-        if not r:
-            continue
-        drawn, parts = [], []
-        for members, factors in slot_factors:
-            mask = ranks[members] == r
-            if mask.any():
-                drawn.append(members[mask])
-                parts.append(factors[:, mask, :r])
-        stack = np.concatenate(parts, axis=1)[:, np.argsort(np.concatenate(drawn))]
-        groups.append((probs[ranks == r], np.linalg.qr(stack, mode="r")))
-    return _FoldSetup(kind, tuple(groups), len(draws))
+    groups = tuple((probs[ranks == r], np.linalg.qr(factors[:, ranks == r, :r], mode="r"))
+                   for r in dict.fromkeys(ranks.tolist()) if r)  # ranks in order of first draw
+    return _FoldSetup(kind, groups, len(draws))
+
+
+def _gathered_permanents(count: int, r: int, images: np.ndarray, gather):
+    """Permanents of A_{d T + t}[b, a] = W[b, d r + images[t, b], a] for the
+    ``count`` offsets d r and the T rows of an image table, in blocks of
+    offsets: ``gather(block)`` returns the (n, size, r, n) W of a slice of
+    offsets, and each block holds as many as keep W and its permanents within
+    RYSER_TEMP_ELEMENTS numbers each, so a few offsets take one kernel call
+    and many never take one call each. Yields each block's slice and its
+    (size, T) permanents from one ``permanent_gather_batch`` call, the feeder
+    of the tau route: no stack of matrices or (size T, n) index exists."""
+    n = images.shape[1]
+    block = max(1, RYSER_TEMP_ELEMENTS // max(len(images), r * n * n))
+    for start in range(0, count, block):
+        w = gather(slice(start, start + block))
+        size = w.shape[1]
+        pers = permanent_gather_batch(w.reshape(n, size * r, n), images, np.arange(size) * r)
+        yield slice(start, start + size), pers.reshape(size, -1)
 
 
 def _fold_output(setup: _FoldSetup, slot_dets: tuple[DetectorModel, ...],
-                 u: np.ndarray, n_occ, m_occ, engine: str) -> ProbabilityResult:
+                 usub: np.ndarray, n_occ, m_occ, engine: str) -> ProbabilityResult:
     """P = (1/(mu(n) mu(m))) sum_draws p sum_j w_j |per(U[n|m] . S_j)|^2 over
     canonical tuples j, S_j[beta, alpha] = R_{l_alpha}[j_alpha, beta]: each
     slot's basis sum gives sum_j conj(R[j, b]) R[j, c] = G_{l_alpha}[b, c].
     The factors of ``_gram_draws`` are upper trapezoidal, so only the tuples
     that meet Hall's condition (``_basis_tuples``) are evaluated; the others
-    have permanent exactly 0.
-    The kernel gathers the transpose of U[n|m] . S_j of draw d from
-    W[alpha, d r + q, beta] = R_{d, l_alpha}[q, beta] U[k_beta, l_alpha] at
-    offset d r, for every tuple (``permanent_gather_batch``, the feeder of
-    the tau route), so no stack or (pairs, N) index exists: one call per
-    rank and block of draws, a block holding as many draws as keep W and
-    its permanents within RYSER_TEMP_ELEMENTS numbers each. A few draws
-    take one call; many draws never take one call each. Occupations are
-    checked."""
+    have permanent exactly 0. ``_gathered_permanents`` gathers the transpose
+    of U[n|m] . S_j of draw d from W[alpha, d r + q, beta] =
+    R_{d, l_alpha}[q, beta] U[k_beta, l_alpha] for every tuple, one call per
+    rank and block of draws. ``usub`` is U[n|m] of checked occupations."""
     n = len(slot_dets)
-    usub_t = _usub(u, n_occ, m_occ).T
     dets = [setup.kind[det] for det in slot_dets]
     total, permanents = 0.0, 0
     for probs, factors in setup.groups:
         _, draws, r, _ = factors.shape
         tuples, weights = _basis_tuples(r, tuple(c for c in m_occ if c), hall=True)
-        block = max(1, RYSER_TEMP_ELEMENTS // max(len(tuples), r * n * n))
-        for start in range(0, draws, block):
-            w = factors[dets, start:start + block] * usub_t[:, None, None, :]
-            size = w.shape[1]
-            pers = permanent_gather_batch(w.reshape(n, size * r, n), tuples, np.arange(size) * r)
-            coefs = probs[start:start + size, None] * weights  # p_d w_t of pair d T + t
-            total += coefs.ravel() @ (pers.real**2 + pers.imag**2)
+        for at, pers in _gathered_permanents(
+                draws, r, tuples, lambda at: factors[dets, at] * usub.T[:, None, None, :]):
+            coefs = probs[at, None] * weights  # p_d w_t of pair d T + t
+            total += coefs.ravel() @ (pers.real**2 + pers.imag**2).ravel()
         permanents += draws * len(tuples)
     log.debug("%s engine: product-fold route, N=%d, %d draws, %d permanents",
               engine, n, setup.draws, permanents)
@@ -385,15 +379,15 @@ def prob_permanent_basis(photons: Sequence[PureState | MixedState],
     return result
 
 
-def _slot_detectors(detectors: Sequence[DetectorModel] | None, m_occ,
+def _slot_detectors(detectors: Sequence[DetectorModel] | None, ls: Sequence[int],
                     modes: int) -> tuple[DetectorModel, ...]:
-    """Expand per-mode detectors to the per-slot l-list."""
+    """Expand per-mode detectors to the slots of an output's l-list."""
     if detectors is None:
         detectors = (IDEAL,) * modes
     detectors = tuple(detectors)
     if len(detectors) != modes:
         raise ValidationError(f"need one detector per mode: {len(detectors)} != {modes}")
-    return tuple(detectors[l] for l in mode_list(m_occ))
+    return tuple(detectors[l] for l in ls)
 
 
 # -- general ensemble engine -----------------------------------------------------
@@ -450,10 +444,10 @@ class GeneralEnsemble:
             raise ValidationError(f"need {sum(n_occ)} photons, got {len(photons)}")
         return GeneralEnsemble(None, tuple(_slot_draws(photons, mode_list(n_occ))))
 
-    def validate_symmetry(self, n_occ, tol: float = 1e-10) -> None:
-        """The G-function symmetry: C invariant under permutations of tensor
-        slots within each input-mode block; a product component carries the
-        same state on every slot of a block."""
+    def validate_symmetry(self, n_occ) -> None:
+        """The G-function symmetry: C invariant, to 1e-10 absolute, under
+        permutations of tensor slots within each input-mode block; a product
+        component carries the same state on every slot of a block."""
         if self.basis is None:
             for _, states in self.components:
                 _validate_block_states(states, mode_list(n_occ))
@@ -461,7 +455,7 @@ class GeneralEnsemble:
         for _, tensor in self.components:
             for block in mode_subgroup_blocks(n_occ):
                 for a, b in zip(block, block[1:]):
-                    if not np.allclose(tensor, np.swapaxes(tensor, a, b), atol=tol):
+                    if not np.allclose(tensor, np.swapaxes(tensor, a, b), atol=1e-10):
                         raise ValidationError(
                             "ensemble tensor is not symmetric under the input-mode "
                             f"subgroup (slots {a}, {b})"
@@ -517,22 +511,23 @@ def _spectral_setup(engine: str, spectral, n_occ, detectors) -> _FoldSetup | _Te
 
 
 def _tensor_output(setup: _TensorSetup, slot_dets: tuple[DetectorModel, ...],
-                   u: np.ndarray, n_occ, m_occ) -> ProbabilityResult:
-    """P(m|n) on the tensor route of the general engine, for checked occupations."""
+                   usub: np.ndarray, n_occ, m_occ) -> ProbabilityResult:
+    """P(m|n) on the tensor route of the general engine, for checked
+    occupations and their U[n|m]. ``_gathered_permanents`` gathers
+    U[n|m] . B(j, j'), B(j, j')[beta, alpha] = rows[alpha, j_alpha, j'_beta],
+    from W[beta, t r + q, alpha] = U[k_beta, l_alpha] rows[alpha, j_{t, alpha}, q]
+    for each block of canonical tuples j and every tuple j' as an image."""
     n = len(slot_dets)
-    usub = _usub(u, n_occ, m_occ)
     rows = np.stack([setup.rows[det] for det in slot_dets])
     r = rows.shape[1]
     tuples, weights = _basis_tuples(r, tuple(c for c in m_occ if c), hall=False)
-    jp_tuples = np.indices((r,) * n).reshape(n, -1).T
-    step = max(1, RYSER_TEMP_ELEMENTS // (r**n * n * n))
+    images = np.indices((r,) * n).reshape(n, -1).T  # every j', in the order of the coefficients
     total = 0.0
-    for start in range(0, len(tuples), step):
-        # B(j, j')[beta, alpha] = rows[alpha, j_alpha, j'_beta], one stack per j
-        part = rows[np.arange(n), tuples[start:start + step]][:, :, jp_tuples]
-        pers = permanent_ryser_batch((usub * part.transpose(0, 2, 3, 1)).reshape(-1, n, n))
-        amps = pers.reshape(-1, r**n) @ setup.coeffs.T  # (tuples, components)
-        total += weights[start:start + step] @ ((amps.real**2 + amps.imag**2) @ setup.probs)
+    for at, pers in _gathered_permanents(
+            len(tuples), r, images,
+            lambda at: usub[:, None, None, :] * rows[np.arange(n), tuples[at]].transpose(0, 2, 1)):
+        amps = pers @ setup.coeffs.T  # (tuples, components)
+        total += weights[at] @ ((amps.real**2 + amps.imag**2) @ setup.probs)
     log.debug("general engine: tensor route, N=%d, r=%d, %d canonical tuples, %d permanents",
               n, r, len(tuples), len(tuples) * r**n)
     total /= mu(n_occ) * mu(m_occ)
@@ -566,7 +561,8 @@ def _spectral_outputs(engine: str, spectral, detectors: Sequence[DetectorModel] 
     chose, the product fold or the tensor route. Returns the results and the
     Grams of the set-up (one per detector on the fold, none on the tensor
     route). The vacuum, with no slot, has P = 1 on either route."""
-    slot_dets = [_slot_detectors(detectors, m_occ, u.shape[0]) for m_occ in outputs]
+    slots = [mode_list(m_occ) for m_occ in outputs]
+    slot_dets = [_slot_detectors(detectors, ls, u.shape[0]) for ls in slots]
     kinds = set().union(*slot_dets)
     setup = _spectral_setup(engine, spectral, n_occ, kinds)
     if not kinds:
@@ -575,7 +571,9 @@ def _spectral_outputs(engine: str, spectral, detectors: Sequence[DetectorModel] 
         route, grams = partial(_fold_output, engine=engine), len(kinds)
     else:
         route, grams = _tensor_output, 0
-    return [route(setup, dets, u, n_occ, m_occ) for m_occ, dets in zip(outputs, slot_dets)], grams
+    rows = np.asarray(u, dtype=complex).take(mode_list(n_occ), axis=0)
+    return [route(setup, dets, rows.take(ls, axis=1), n_occ, m_occ)
+            for m_occ, ls, dets in zip(outputs, slots, slot_dets)], grams
 
 
 # -- closed-form engines ----------------------------------------------------------
@@ -622,9 +620,9 @@ def prob_oracle(photons_or_ensemble, detectors: Sequence[DetectorModel] | None,
     ensemble = _checked_ensemble(photons_or_ensemble, n_occ)
     if n == 0:
         return _finalize(1.0 + 0j, m_occ, "oracle")
-    slot_dets = _slot_detectors(detectors, m_occ, u.shape[0])
-    ks = np.asarray(mode_list(n_occ), dtype=np.intp)
     ls = np.asarray(mode_list(m_occ), dtype=np.intp)
+    slot_dets = _slot_detectors(detectors, ls, u.shape[0])
+    ks = np.asarray(mode_list(n_occ), dtype=np.intp)
     perms = permutation_array(n)
     invs = np.argsort(perms, axis=1)
     x_inv = np.prod(u[ks[invs], ls[None, :]], axis=1)
@@ -704,8 +702,9 @@ def _jmatrix_sweep(photons: Sequence[PureState | MixedState],
     table and the J builds."""
     ks = mode_list(n_occ)
     groups: dict[tuple[DetectorModel, ...], list[int]] = {}
-    for i, m_occ in enumerate(outputs):
-        groups.setdefault(_slot_detectors(detectors, m_occ, u.shape[0]), []).append(i)
+    slots = [mode_list(m_occ) for m_occ in outputs]
+    for i, ls in enumerate(slots):
+        groups.setdefault(_slot_detectors(detectors, ls, u.shape[0]), []).append(i)
     if any(is_mixed(p) for p in photons):
         setup = _MixedSetup(photons, ks)
         table, build = setup.table, setup.build
@@ -718,8 +717,7 @@ def _jmatrix_sweep(photons: Sequence[PureState | MixedState],
     for dets, members in groups.items():
         jm = build(dets)
         for i in members:
-            m_occ = outputs[i]
-            results[i] = prob_jmatrix(replace(jm, output_modes=mode_list(m_occ)), u, n_occ, m_occ)
+            results[i] = prob_jmatrix(replace(jm, output_modes=slots[i]), u, n_occ, outputs[i])
     return results, len(table.grams), len(groups)
 
 

@@ -304,13 +304,12 @@ class SpanBasis:
     chi_j = sum_a mixing[a, j] * phi_a,    phi_b = sum_j coords[j, b] * chi_j.
     """
 
-    def __init__(self, states: Sequence[PureState], kernel: DetectorModel | None = None,
-                 rank_tol: float = RANK_TOL):
+    def __init__(self, states: Sequence[PureState], kernel: DetectorModel | None = None):
         self.states = tuple(states)
         self.kernel = kernel or IDEAL
         self.gram = gram_matrix(self.states, self.kernel)
         w, vec = np.linalg.eigh(self.gram)
-        keep = w > rank_tol * max(w.max(), 0.0)
+        keep = w > RANK_TOL * max(w.max(), 0.0)
         self.rank = int(np.count_nonzero(keep))
         if self.rank == 0:
             raise ValidationError("state list spans rank 0 under the given kernel")
@@ -371,14 +370,13 @@ class SpanBasis:
         return cached
 
 
-def orthonormalize(states: Sequence[PureState], kernel: DetectorModel | None = None,
-                   rank_tol: float = RANK_TOL) -> SpanBasis:
+def orthonormalize(states: Sequence[PureState], kernel: DetectorModel | None = None) -> SpanBasis:
     """Orthonormal basis of the span under the kernel-weighted inner product.
 
     A numerically singular Gram matrix is not an error: the rank is reduced
     and reported via ``SpanBasis.rank`` / ``rank_deficient``.
     """
-    return SpanBasis(states, kernel, rank_tol)
+    return SpanBasis(states, kernel)
 
 
 # -- mixed states -----------------------------------------------------------------

@@ -175,7 +175,7 @@ def prob_group_factorized(u: np.ndarray, spec: GroupSpec, m_occ: Sequence[int],
         raise SizeLimitError(
             f"group-factorized probability capped at N <= {JMATRIX_MAX_N}, got {n}")
     m_occ = tuple(int(x) for x in m_occ)
-    slot_dets = _slot_detectors(detectors, m_occ, modes)
+    slot_dets = _slot_detectors(detectors, mode_list(m_occ), modes)
     patterns, amps, _ = group_amplitudes(u, spec, m_occ)
     n_occ = spec.occupation(modes)
 
@@ -313,8 +313,7 @@ def _relative_residual(t1: complex, t2: complex) -> float:
     return abs(t1 + t2) / denom
 
 
-def three_photon_incompatibility(u: np.ndarray, c1: complex, c2: complex,
-                                 rng_seed: int = 0) -> IncompatibilityReport:
+def three_photon_incompatibility(u: np.ndarray, c1: complex, c2: complex) -> IncompatibilityReport:
     """Exact-zero analysis for three photons with spectral states
     phi3 = c1 phi1 + c2 phi2 (phi1, phi2 independent), ideal detectors,
     input (1,1,1) -> output (1,1,1).
@@ -360,7 +359,7 @@ def three_photon_incompatibility(u: np.ndarray, c1: complex, c2: complex,
 
     # pair products under the two relation families, built from arbitrary
     # nonzero seeds: pairwise relations force -1, cyclic relations force +1
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(0)
     seeds = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     a12, a23, a13, a21 = seeds
     pairwise = (a12 * (-1.0 / a12)) * (a23 * (-1.0 / a23)) * (a13 * (-1.0 / a13))

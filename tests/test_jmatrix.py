@@ -128,6 +128,18 @@ def test_cycle_trace_identity_both_paths(rng):
                 assert abs(direct - via_cycles) < 1e-10
 
 
+def test_builders_give_the_zero_photon_j():
+    """No photons give the N = 0 J, [[1]] on the one permutation of no slots,
+    from either builder; a detector for a slot that does not exist is refused."""
+    for build in (build_pure, build_mixed):
+        jm = build([], ())
+        assert jm.n == 0 and jm.detectors == ()
+        assert np.array_equal(jm.as_dense(), [[1.0]])
+        with pytest.raises(ValidationError, match="one detector per photon slot"):
+            build([], (IDEAL,))
+    assert build_mixed([], ()).storage == "dense"
+
+
 def test_build_mixed_zero_variance_equals_pure(rng):
     states = random_gaussians(rng, 3)
     dets = ideal_slots(3)

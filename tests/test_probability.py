@@ -589,6 +589,8 @@ def test_eight_photon_tau_route_limits(gap, reference):
                     output_modes=mode_list(m_occ))
     expected = reference(u, n_occ, m_occ).p
     assert prob_jmatrix(jm, u, n_occ, m_occ).p == pytest.approx(expected, rel=1e-9)
+    with pytest.raises(SizeLimitError, match="dense J storage capped"):
+        jm.as_dense()
     if gap == 0.0:  # identical photons also as a cycle J and an extreme 'ind' J
         g = GaussianState(0.0, 1.0, 0.0)
         for other in (build_cycle_compressed(g, IDEAL, 8),
@@ -1130,6 +1132,8 @@ def test_context_mismatch_rejected():
     jm = build_pure(photons, slot, output_modes=(0, 1, 2))
     with pytest.raises(ValidationError):
         prob_jmatrix(jm, u, (1, 1, 1), (2, 1, 0))
+    with pytest.raises(ValidationError, match="built for N=3, instance has N=2"):
+        prob_jmatrix(jm, u, (1, 1, 0), (1, 1, 0))
 
 
 def test_context_free_for_ideal_detectors():
@@ -1406,7 +1410,8 @@ def test_many_draw_fold_output_memory_stays_bounded(monkeypatch):
         return permanent_gather_batch(*args)
 
     monkeypatch.setattr(probability, "permanent_gather_batch", counting)
-    fold = partial(probability._fold_output, setup, tuple(dets), u, n_occ, n_occ, "permanent")
+    usub = np.asarray(u, dtype=complex)[np.ix_(mode_list(n_occ), mode_list(n_occ))]
+    fold = partial(probability._fold_output, setup, tuple(dets), usub, n_occ, n_occ, "permanent")
     want = fold().p  # warms the canonical tuples
     tracemalloc.start()
     try:
@@ -1422,11 +1427,11 @@ def test_many_draw_fold_output_memory_stays_bounded(monkeypatch):
 
 
 def test_fold_set_up_factors_its_draws_in_stacks(monkeypatch):
-    """The fold's set-up makes one eigh per number of distinct slot states
-    and one QR per rank, however many draws there are: two of each for two
-    photons that share a component (one draw of one state, three of two),
-    one of each for the 4096 draws of four jitter photons. Every factor is
-    upper trapezoidal and gives its draw's slot Gram."""
+    """The fold's set-up makes one eigh, and one QR per rank, however many
+    draws there are: one eigh and two QRs for two photons that share a
+    component (one draw of one state, three of two), one of each for the
+    4096 draws of four jitter photons. Every factor is upper trapezoidal and
+    gives its draw's slot Gram."""
     calls = Counter()
     for name in ("eigh", "qr"):
         def counting(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
@@ -1437,7 +1442,7 @@ def test_fold_set_up_factors_its_draws_in_stacks(monkeypatch):
     photons = [MixedState.ensemble([(0.4, a), (0.6, b)]), MixedState.ensemble([(0.5, a), (0.5, c)])]
     dets = (IDEAL, DetectorModel.gaussian_band(0.2, 1.1, 0.9))
     setup = probability._spectral_setup("permanent", photons, (1, 1), set(dets))
-    assert calls == {"eigh": 2, "qr": 2}
+    assert calls == {"eigh": 1, "qr": 2}
     draws = [states for _, states in GeneralEnsemble.from_photons(photons).components]
     assert draws[0] == (a, a)
     (one, single), (three, pairs) = setup.groups
@@ -1453,6 +1458,24 @@ def test_fold_set_up_factors_its_draws_in_stacks(monkeypatch):
     u, n_occ, photons, dets = four_jitter_photons()
     setup = probability._spectral_setup("permanent", photons, n_occ, set(dets))
     assert setup.draws == 4096 and calls == {"eigh": 1, "qr": 1}
+
+
+def test_fold_drops_draws_that_no_detector_sees():
+    """A draw whose states every detector is blind to has Gram-factor rank 0:
+    the fold's set-up drops it (each of its permanents is 0), and the
+    permanent and general sweeps still equal the oracle."""
+    e0, e1 = FiniteRankState([1.0, 0.0]), FiniteRankState([0.0, 1.0])
+    photons = [MixedState.ensemble([(0.4, e0), (0.6, e1)]),
+               MixedState.ensemble([(0.5, e0), (0.5, e1)])]
+    dets = (DetectorModel.operator(np.diag([0.9, 0.0])),) * 3  # blind to e1
+    u, n_occ = random_unitary(3, 91), (1, 0, 1)
+    setup = probability._spectral_setup("permanent", photons, n_occ, set(dets))
+    assert setup.draws == 4 and [probs.tolist() for probs, _ in setup.groups] == [[0.2, 0.2, 0.3]]
+    for engine in ("permanent", "general"):
+        dist = output_distribution(engine, u, n_occ, photons=photons, detectors=dets)
+        for r in dist.results:
+            assert r.p == pytest.approx(prob_oracle(photons, dets, u, n_occ, r.m).p, abs=1e-12)
+    assert dist.total == pytest.approx(0.2 * 0.9**2, abs=1e-12)  # only e0 e0 is seen twice
 
 
 def test_permanent_sweep_computes_one_gram_per_detector(setup_counts):

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from multiphoton.jmatrix import DENSE_CAP
+from multiphoton.network import MAX_OUTPUT_CONFIGS
 from multiphoton.permanent import MAX_NAIVE_N, MAX_RYSER_N
 from multiphoton.probability import JMATRIX_MAX_N, ORACLE_MAX_N, TENSOR_MAX_ENTRIES
 from multiphoton.symgroup import MAX_ENUM_N
@@ -27,6 +28,7 @@ def caps_section() -> str:
     ("MAX_NAIVE_N", MAX_NAIVE_N),
     ("MAX_RYSER_N", MAX_RYSER_N),
     ("TENSOR_MAX_ENTRIES", TENSOR_MAX_ENTRIES),
+    ("MAX_OUTPUT_CONFIGS", MAX_OUTPUT_CONFIGS),
 ])
 def test_readme_caps_name_current_values(name, value):
     assert f"`{name}` = {value}" in caps_section()

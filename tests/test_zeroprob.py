@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from multiphoton.errors import ValidationError
+from multiphoton.errors import SizeLimitError, ValidationError
 from multiphoton.jmatrix import build_pure
 from multiphoton.network import enumerate_outputs, fourier, mode_list, random_unitary
 from multiphoton.permanent import permanent_naive
@@ -48,6 +48,8 @@ def test_group_spec_validation():
     s = GaussianState(0.0, 1.0, 0.0)
     with pytest.raises(ValidationError):
         GroupSpec((PhotonGroup(state=s, modes=(0, 1)), PhotonGroup(state=s, modes=(1,))))
+    with pytest.raises(SizeLimitError, match="capped at N <= 8"):
+        prob_group_factorized(np.eye(9), single_group_spec(9, 9), (1,) * 9)
 
 
 def test_group_patterns_count():
@@ -128,6 +130,8 @@ def test_degenerate_group_gram_falls_back():
     states = [s1, s2, s3]
     jm = build_pure(states, (IDEAL,) * 3, output_modes=(0, 1, 2))
     assert res.p == pytest.approx(prob_jmatrix(jm, u, (1, 1, 1), (1, 1, 1)).p, abs=1e-12)
+    records = suppression_scan(u, spec)
+    assert records and all("linearly dependent" in r.diagnostic for r in records)
 
 
 def test_dial_states_exact_overlaps():
