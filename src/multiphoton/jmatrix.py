@@ -97,8 +97,7 @@ class JMatrix:
 
     def __post_init__(self):
         """Check the storage's payload by shape (by keys for a cycle J), not
-        by value: a sweep builds one J per output, and ``replace`` checks
-        again."""
+        by value: a sweep builds one J per slot-detector tuple."""
         if self.n < 0:
             raise ValidationError(f"J needs N >= 0 photons, got {self.n}")
         if self.storage == "cycle":

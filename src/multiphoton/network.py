@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from functools import lru_cache
 from typing import Sequence
 
@@ -26,10 +27,13 @@ def unitarity_deviation(u: np.ndarray) -> float:
 
 
 def validate_network(u: np.ndarray, tol: float = USER_UNITARITY_TOL) -> np.ndarray:
-    """Check shape and unitarity; the matrix is reported, never repaired."""
+    """Check shape, finiteness and unitarity; the matrix is reported, never
+    repaired."""
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValidationError(f"network matrix must be square, got shape {u.shape}")
+    if not np.all(np.isfinite(u)):
+        raise ValidationError("network matrix entries must be finite")
     dev = unitarity_deviation(u)
     if dev > tol:
         raise ValidationError(f"network matrix is not unitary: max |U†U - I| = {dev:.3e} > {tol:g}")
@@ -58,14 +62,22 @@ def random_unitary(m: int, seed: int) -> np.ndarray:
 
 def check_occupation(occ: Sequence[int], modes: int | None = None) -> tuple[int, ...]:
     """``occ`` as a checked tuple of ints; a tuple of ints is returned itself,
-    so results keep the caller's tuple (``enumerate_outputs`` shares them)."""
+    so results keep the caller's tuple (``enumerate_outputs`` shares them).
+    Integers of any kind and integral floats such as 1.0 are accepted; any
+    other entry raises ValidationError, never rounds."""
     if type(occ) is not tuple or any(type(x) is not int for x in occ):
-        occ = tuple(int(x) for x in occ)
+        occ = tuple(_occupation_number(x) for x in occ)
     if any(x < 0 for x in occ):
         raise ValidationError(f"occupation numbers must be nonnegative: {occ}")
     if modes is not None and len(occ) != modes:
         raise ValidationError(f"occupation vector has {len(occ)} modes, network has {modes}")
     return occ
+
+
+def _occupation_number(x) -> int:
+    if isinstance(x, numbers.Integral) or (isinstance(x, numbers.Real) and float(x).is_integer()):
+        return int(x)
+    raise ValidationError(f"occupation numbers must be integers, got {x!r}")
 
 
 def mode_list(occ: Sequence[int]) -> tuple[int, ...]:

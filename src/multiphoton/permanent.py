@@ -134,11 +134,11 @@ def _glynn(n: int, count: int, dtype, form) -> np.ndarray:
                 else:
                     sums += steps[:, lo + c, None]
             if not k:
-                np.prod(sums, axis=0, out=acc)
+                np.multiply.reduce(sums, axis=0, out=acc)
             elif k & 1:
-                acc -= np.prod(sums, axis=0, out=prods)
+                acc -= np.multiply.reduce(sums, axis=0, out=prods)
             else:
-                acc += np.prod(sums, axis=0, out=prods)
+                acc += np.multiply.reduce(sums, axis=0, out=prods)
         np.matmul(weights, acc, out=out[start:start + size])
     return out
 

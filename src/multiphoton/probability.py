@@ -45,8 +45,12 @@ one helper (_gathered_permanents), as the tau route gathers its own.
 Each spectral engine has one route for one output and for a sweep: a
 ``permanent`` or ``general`` probability is a sweep over one output
 (_spectral_outputs, which sets up once and chooses the product fold or the
-tensor route once), and a ``jmatrix`` sweep builds one J per distinct
-slot-detector tuple, for pure and mixed photons alike.
+tensor route once). A ``jmatrix`` probability and every output of a
+``jmatrix`` sweep take one route (_jmatrix_output, the tau sum or the dense
+quadratic form on the output's U[n|m]); the sweep checks N once, builds one
+J per distinct slot-detector tuple, for pure and mixed photons alike, and
+hands each output its J and its U[n|m] from the rows of U for the input
+modes, taken once per sweep.
 
 Every engine raises EngineError on a non-finite probability.
 
@@ -59,7 +63,7 @@ import itertools
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Sequence
 
@@ -141,15 +145,13 @@ def _usub(u: np.ndarray, n_occ, m_occ) -> np.ndarray:
     return np.asarray(u, dtype=complex)[np.ix_(mode_list(n_occ), mode_list(m_occ))]
 
 
-def _path_products(u: np.ndarray, n_occ, m_occ) -> np.ndarray:
-    """X_sigma = prod_alpha U[k_{sigma(alpha)}, l_alpha] over canonical order."""
-    n = sum(n_occ)
-    ks = np.asarray(mode_list(n_occ), dtype=np.intp)
-    ls = np.asarray(mode_list(m_occ), dtype=np.intp)
+def _path_products(usub: np.ndarray) -> np.ndarray:
+    """X_sigma = prod_alpha U[k_{sigma(alpha)}, l_alpha] over canonical order,
+    from usub[b, a] = U[k_b, l_a]."""
+    n = usub.shape[0]
     if n == 0:
         return np.ones(1, dtype=complex)
-    perms = permutation_array(n)
-    return np.prod(u[ks[perms], ls[None, :]], axis=1)
+    return np.prod(usub[permutation_array(n), np.arange(n)], axis=1)
 
 
 # -- J-matrix engine ---------------------------------------------------------
@@ -168,7 +170,7 @@ def prob_jmatrix(jm: JMatrix, u: np.ndarray, n_occ, m_occ) -> ProbabilityResult:
     {tau, tau^-1} suffices: (N! + I_N)/2 permanents, I_N the number of
     involutions, in one kernel call that gathers them from W
     (``_tau_permanent_sum``). A J stored as a dense matrix goes through
-    X^dagger J X."""
+    X^dagger J X. After its checks, one output of ``_jmatrix_output``."""
     n_occ, m_occ, n = _sizes(n_occ, m_occ, u.shape[0])
     if n > JMATRIX_MAX_N:
         raise SizeLimitError(f"prob_jmatrix capped at N <= {JMATRIX_MAX_N}, got {n}")
@@ -180,13 +182,21 @@ def prob_jmatrix(jm: JMatrix, u: np.ndarray, n_occ, m_occ) -> ProbabilityResult:
             f"J-matrix output context {jm.output_modes} does not match target output "
             f"modes {ls}; rebuild J for this output configuration"
         )
+    return _jmatrix_output(jm, _usub(u, n_occ, m_occ), n_occ, m_occ)
+
+
+def _jmatrix_output(jm: JMatrix, usub: np.ndarray, n_occ, m_occ) -> ProbabilityResult:
+    """P(m|n) of the ``jmatrix`` engine, the route of ``prob_jmatrix`` and of
+    every output of a sweep: checked occupations, their U[n|m] and a J of
+    their photon number built for their slot detectors."""
+    n = usub.shape[0]
     if n == 0:
         return _finalize(1.0 + 0j, m_occ, "jmatrix")
     if jm.storage == "dense":
-        x = _path_products(u, n_occ, m_occ)
+        x = _path_products(usub)
         route, raw, terms, permanents = "dense", np.vdot(x, jm.dense @ x), 0, 0
     else:
-        route, raw = "tau-permanent", _tau_permanent_sum(jm, _usub(u, n_occ, m_occ))
+        route, raw = "tau-permanent", _tau_permanent_sum(jm, usub)
         terms, permanents = math.factorial(n), len(inverse_pairs(n).positions)
     log.debug("prob_jmatrix: %s route, N=%d, %d tau terms, %d permanents",
               route, n, terms, permanents)
@@ -692,15 +702,19 @@ class DistributionResult:
 def _jmatrix_sweep(photons: Sequence[PureState | MixedState],
                    detectors: Sequence[DetectorModel] | None, u: np.ndarray, n_occ,
                    outputs: list[tuple[int, ...]]) -> tuple[list[ProbabilityResult], int, int]:
-    """Every output through prob_jmatrix, with the Grams and J builds done
-    once. The set-up reads its Grams from one Gram table: for pure photons
-    (their single ``_slot_draws`` draw) one Gram per detector over the slot
-    states, for mixed photons one ``_MixedSetup``. J depends on an output
-    only through its slot-detector tuple, so one J is built per distinct
-    tuple (one at a time, since a dense J can be large) and each output
-    takes it under its own context. Returns the results, the Grams of the
+    """Every output on the route of ``prob_jmatrix`` (``_jmatrix_output``),
+    with the checks, Grams and J builds done once. N is checked against
+    JMATRIX_MAX_N before any set-up. The set-up reads its Grams from one Gram
+    table: for pure photons (their single ``_slot_draws`` draw) one Gram per
+    detector over the slot states, for mixed photons one ``_MixedSetup``. J
+    depends on an output only through its slot-detector tuple, so one J is
+    built per distinct tuple (one at a time, since a dense J can be large)
+    and serves the outputs of that tuple, each with its U[n|m] taken from
+    the rows of U for the input modes. Returns the results, the Grams of the
     table and the J builds."""
     ks = mode_list(n_occ)
+    if len(ks) > JMATRIX_MAX_N:
+        raise SizeLimitError(f"jmatrix sweep capped at N <= {JMATRIX_MAX_N}, got {len(ks)}")
     groups: dict[tuple[DetectorModel, ...], list[int]] = {}
     slots = [mode_list(m_occ) for m_occ in outputs]
     for i, ls in enumerate(slots):
@@ -713,11 +727,12 @@ def _jmatrix_sweep(photons: Sequence[PureState | MixedState],
         table = _GramTable(states)
         at = table.index(states)
         build = partial(_pure_from_grams, {det: table.block(at, det) for det in set().union(*groups)})
+    rows = np.asarray(u, dtype=complex).take(ks, axis=0)
     results: list[ProbabilityResult] = [None] * len(outputs)  # type: ignore[list-item]
     for dets, members in groups.items():
         jm = build(dets)
         for i in members:
-            results[i] = prob_jmatrix(replace(jm, output_modes=slots[i]), u, n_occ, outputs[i])
+            results[i] = _jmatrix_output(jm, rows.take(slots[i], axis=1), n_occ, outputs[i])
     return results, len(table.grams), len(groups)
 
 

@@ -100,6 +100,15 @@ def test_distribution_validation_exit_codes(tmp_path, identical_photons):
                 "--photons", identical_photons]) == 2
 
 
+def test_distribution_refuses_a_non_finite_network_file(tmp_path, identical_photons, capsys):
+    data = network_to_dict(random_unitary(2, 5))
+    data["rows"][0][1][0] = math.nan
+    net = write_json(tmp_path / "nan.json", data)
+    assert run(["distribution", "--network", net, "--input", "1,1",
+                "--photons", identical_photons]) == 2
+    assert capsys.readouterr().err == "error: network matrix entries must be finite\n"
+
+
 def test_distribution_size_cap_exit(tmp_path):
     photons9 = write_json(tmp_path / "p9.json", [
         {"gaussian": {"omega": 0.0, "delta": 1.0, "t": 0.0}} for _ in range(9)

@@ -6,6 +6,7 @@ import pytest
 
 from multiphoton.errors import SizeLimitError, ValidationError
 from multiphoton.network import (
+    check_occupation,
     enumerate_outputs,
     fourier,
     load_network,
@@ -20,6 +21,7 @@ from multiphoton.network import (
     unitarity_deviation,
     validate_network,
 )
+from multiphoton.probability import prob_ideal_indistinguishable
 
 
 def test_fourier_m2_is_balanced_splitter():
@@ -105,6 +107,34 @@ def test_enumerate_outputs_cap():
 def test_validate_network_rejects_nonunitary():
     with pytest.raises(ValidationError):
         validate_network(np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_validate_network_rejects_non_finite_entries(bad):
+    """A non-finite entry makes the unitarity deviation NaN, which no
+    tolerance comparison catches; the entry check comes first."""
+    u = fourier(2)
+    u[0, 1] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        validate_network(u)
+    with pytest.raises(ValidationError, match="finite"):
+        validate_network(np.full((2, 2), bad))
+    data = network_to_dict(fourier(2))
+    data["rows"][1][0][1] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        network_from_dict(json.loads(json.dumps(data)))
+
+
+def test_check_occupation_refuses_what_it_would_round():
+    ints = (1, 0, 2)
+    assert check_occupation(ints, 3) is ints
+    assert check_occupation([np.int64(1), 1.0, np.float32(2.0)]) == (1, 1, 2)
+    assert all(type(x) is int for x in check_occupation(np.array([1, 0])))
+    for bad in ([1.5, 0.7], [np.nan, 0], [np.inf, 0], ["1", 0], [1 + 0j, 0], [None, 0]):
+        with pytest.raises(ValidationError, match="integers"):
+            check_occupation(bad)
+    with pytest.raises(ValidationError, match="integers"):
+        prob_ideal_indistinguishable(fourier(2), [1.5, 0.7], [1, 0])
 
 
 def test_network_json_roundtrip(tmp_path):

@@ -498,7 +498,7 @@ def test_tau_route_matches_dense_quadratic_form(n):
         p = prob_jmatrix(jm, u, n_occ, m_occ).p
         dense = JMatrix(n, "dense", dense=jm.as_dense(), output_modes=jm.output_modes,
                         detectors=jm.detectors)
-        x = _path_products(u, n_occ, m_occ)
+        x = _path_products(u[np.ix_(mode_list(n_occ), mode_list(m_occ))])
         expected = np.vdot(x, dense.dense @ x).real / (mu(n_occ) * mu(m_occ))
         assert abs(p - expected) <= 1e-12
         assert prob_jmatrix(dense, u, n_occ, m_occ).p == pytest.approx(expected, abs=1e-12)
@@ -858,7 +858,7 @@ def test_tau_route_property_matches_dense_quadratic_form(case):
     p = prob_jmatrix(jm, u, n_occ, m_occ).p
     dense = JMatrix(jm.n, "dense", dense=jm.as_dense(), output_modes=jm.output_modes,
                     detectors=jm.detectors)
-    x = _path_products(u, n_occ, m_occ)
+    x = _path_products(u[np.ix_(mode_list(n_occ), mode_list(m_occ))])
     expected = np.vdot(x, dense.dense @ x).real / (mu(n_occ) * mu(m_occ))
     assert abs(p - expected) <= 1e-12
     assert abs(prob_jmatrix(dense, u, n_occ, m_occ).p - expected) <= 1e-12
@@ -1115,7 +1115,8 @@ def test_reduced_quadratic_form_equals_probability(rng):
     for m_occ in enumerate_outputs(3, 3)[:5]:
         slot = tuple(dets[l] for l in mode_list(m_occ))
         jm = build_pure(photons, slot, output_modes=mode_list(m_occ))
-        x = np.sqrt(np.diagonal(jm.as_dense()).real) * _path_products(u, n_occ, m_occ)
+        x = np.sqrt(np.diagonal(jm.as_dense()).real) * _path_products(
+            u[np.ix_(mode_list(n_occ), mode_list(m_occ))])
         red = reduce_jmatrix(jm)
         p_form = np.vdot(x, red.dense @ x).real / (mu(n_occ) * mu(m_occ))
         assert p_form == pytest.approx(prob_jmatrix(jm, u, n_occ, m_occ).p, abs=1e-12)
@@ -1292,6 +1293,36 @@ def test_pure_jmatrix_sweep_computes_one_gram_per_detector(setup_counts):
         return prob_jmatrix(jm, u, n_occ, m_occ)
 
     assert_sweep_matches_public_calls(dist, one_output)
+
+
+@pytest.mark.parametrize("n_occ", [(1, 1, 0, 1), (2, 1, 0, 0)])
+@pytest.mark.parametrize("dets", [(DetectorModel.flat(0.9),) * 4, FOLD_DETECTORS["band"], None],
+                         ids=["flat", "band", "none"])
+def test_pure_jmatrix_sweep_is_bitwise_the_public_route(dets, n_occ):
+    """Every output of a pure-photon sweep is the number ``prob_jmatrix``
+    gives for that output's own ``build_pure`` J, to the last bit."""
+    u = random_unitary(4, 73)
+    photons = gaussians(*(0.7 * k - 0.6 for k, c in enumerate(n_occ) for _ in range(c)))
+    dist = output_distribution("jmatrix", u, n_occ, photons=photons, detectors=dets)
+    for r in dist.results:
+        want = prob_jmatrix(build_j_for(photons, r.m, dets, n_occ), u, n_occ, r.m)
+        assert (r.p, r.imag_residual, r.clamped) == (want.p, want.imag_residual, want.clamped)
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_jmatrix_sweep_above_cap_refused_before_any_gram(monkeypatch, mixed):
+    """Nine photons: the sweep raises SizeLimitError before it draws,
+    tabulates or factors a single spectral state."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the jmatrix sweep did set-up work before its size check")
+
+    for module, name in ((spectral, "gram_matrix"), (probability, "_GramTable"),
+                         (probability, "_slot_draws"), (probability, "_MixedSetup")):
+        monkeypatch.setattr(module, name, fail)
+    photons = [jitter(0.0) if mixed else GaussianState(0.0, 1.0, 0.0)] * 9
+    with pytest.raises(SizeLimitError, match="capped at N <= 8"):
+        output_distribution("jmatrix", fourier(2), (5, 4), photons=photons)
 
 
 def test_mixed_jmatrix_sweep_builds_one_j_per_slot_detector_tuple(setup_counts):
