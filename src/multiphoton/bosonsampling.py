@@ -35,6 +35,7 @@ closed purity law targets ``gk_closed``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -53,10 +54,12 @@ class BSParams:
     time_spread: float = 0.0      # s
 
     def __post_init__(self):
-        if self.n_photons < 1:
-            raise ValidationError("need at least one photon")
-        if self.spectral_width <= 0 or self.time_spread < 0:
-            raise ValidationError("spectral width must be > 0, time spread >= 0")
+        if not isinstance(self.n_photons, numbers.Integral) or self.n_photons < 1:
+            raise ValidationError(f"need an integral photon count >= 1, got {self.n_photons!r}")
+        width, spread = self.spectral_width, self.time_spread
+        if not (math.isfinite(width) and width > 0 and math.isfinite(spread) and spread >= 0):
+            raise ValidationError("spectral width must be finite and > 0, time spread finite "
+                                  f"and >= 0, got {width!r} and {spread!r}")
 
     @property
     def eta(self) -> float:

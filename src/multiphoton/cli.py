@@ -100,7 +100,7 @@ def _parse_range(text: str) -> np.ndarray:
 
 
 def cmd_distribution(args) -> int:
-    u = parse_network_source(args.network, args.tol or network.USER_UNITARITY_TOL)
+    u = parse_network_source(args.network, args.tol)
     n_occ = _parse_occupation(args.input)
     if len(n_occ) != u.shape[0]:
         raise ValidationError(
@@ -180,7 +180,7 @@ def _render_suppression_table(records) -> str:
 
 
 def cmd_suppress(args) -> int:
-    u = parse_network_source(args.network, args.tol or network.USER_UNITARITY_TOL)
+    u = parse_network_source(args.network, args.tol)
     spec = _load_group_spec(args.groups)
     records = zeroprob.suppression_scan(u, spec)
     report = {
@@ -224,8 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--out", default=None, help="output file ('-' or omit for stdout)")
-        p.add_argument("--tol", type=float, default=None,
-                       help="unitarity tolerance for user-supplied networks")
+        p.add_argument("--tol", type=float, default=network.USER_UNITARITY_TOL,
+                       help="unitarity tolerance for user-supplied networks (finite, >= 0)")
 
     p = sub.add_parser("distribution", help="full output distribution for one engine")
     p.add_argument("--network", required=True, help="file | fourier:M | haar:M:seed")

@@ -26,9 +26,17 @@ def unitarity_deviation(u: np.ndarray) -> float:
     return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
 
 
+def _check_tolerance(tol: float) -> None:
+    """A unitarity tolerance must be a finite number >= 0: NaN or inf would
+    pass every network, and a negative one none."""
+    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0):
+        raise ValidationError(f"unitarity tolerance must be finite and >= 0, got {tol!r}")
+
+
 def validate_network(u: np.ndarray, tol: float = USER_UNITARITY_TOL) -> np.ndarray:
-    """Check shape, finiteness and unitarity; the matrix is reported, never
-    repaired."""
+    """Check the tolerance, then shape, finiteness and unitarity; the matrix
+    is reported, never repaired."""
+    _check_tolerance(tol)
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValidationError(f"network matrix must be square, got shape {u.shape}")
@@ -174,7 +182,9 @@ def load_network(path: str, tol: float = USER_UNITARITY_TOL) -> np.ndarray:
 
 
 def parse_network_source(source: str, tol: float = USER_UNITARITY_TOL) -> np.ndarray:
-    """Accepts 'fourier:M', 'haar:M:seed', or a JSON file path."""
+    """Accepts 'fourier:M', 'haar:M:seed', or a JSON file path; refuses a
+    tolerance that ``validate_network`` would refuse, whatever the source."""
+    _check_tolerance(tol)
     if source.startswith("fourier:"):
         return fourier(int(source.split(":", 1)[1]))
     if source.startswith("haar:"):

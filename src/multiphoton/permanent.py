@@ -9,20 +9,42 @@ Glynn's formula (Eur. J. Combin. 31, 1887, 2010)
     per(A) = 2^-(n-1) sum_delta (prod_j delta_j) prod_i sum_j delta_j A[i, j]
 
 runs over the 2^(n-1) sign vectors delta in {+1, -1}^n with delta_0 = +1.
-One Gray-code core, ``_glynn``, evaluates it for many matrices in chunks: the
-2^lo sign vectors of the ``lo`` columns after column 0 are formed at once,
-and a Gray code over the remaining high columns adds or subtracts a doubled
-column per step.  The working arrays are laid out (row, subset, batch), so
-each step's row products multiply contiguous (subset, batch) planes, and
-they are allocated once per call and reused for every chunk.  A chunk holds
-at most ``RYSER_TEMP_ELEMENTS // n^2`` matrices and ``lo`` is chosen so that
-the signed row sums hold at most ``RYSER_TEMP_ELEMENTS`` numbers; so do the
-doubled columns, and the two (subset, batch) products hold 1/n of that each.
-The working arrays thus hold at most (2 + 2/n) ``RYSER_TEMP_ELEMENTS``
-numbers besides the result, and no step creates an array of its own; NumPy
-adds transients: an iteration buffer (at most 8192 numbers) for each
-broadcast column update, and a copy of the input in the low-column loop,
-whose output overlaps it.
+When the columns repeat in L blocks, block l holding m_l copies of one
+column c_l (sum_l m_l = n), a term depends on delta only through the count
+q_l of minus signs in each block, so the sum runs over the counts instead
+(the repeated-row Gray code of Clifford & Clifford, arXiv:2005.04214):
+
+    per(A) = 2^-n sum_q prod_l C(m_l, q_l) (-1)^q_l prod_i sum_l (m_l - 2 q_l) c_l[i].
+
+Flipping every sign, q -> m - q, leaves a term unchanged, so the counts of
+one pivot block p run over 0 .. floor(m_p / 2) only, a count below m_p / 2
+weighing twice. That leaves (floor(m_p / 2) + 1) prod_{l != p} (m_l + 1)
+sign patterns, and the pivot is the block that minimises this count (the
+first odd block, else the first largest one): 18 for m = (2, 2, 1, 1), 4
+for (6,), 8 for (3, 3), and 2^(n-1) when every m_l = 1, which is Glynn's
+sum with column 0 as the pivot.
+
+One Gray-code core, ``_glynn``, evaluates the sum for many matrices in
+chunks. Each count is a digit, the pivot's first, then the other blocks by
+decreasing multiplicity: the patterns of the pivot's digit and of as many
+further digits as fit in the budget below are formed at once, and a
+reflected mixed-radix Gray code over the remaining digits moves one count
+by one per step, which adds or subtracts one doubled column. With every
+m_l = 1 these are the 2^lo sign vectors of the ``lo`` columns after column
+0 and the binary Gray code over the rest, in the order of Glynn's sum
+itself. A bounded cache holds each multiplicity tuple's plan (its low
+weights and Gray steps), filled on first use. The working arrays are laid
+out (row, pattern, batch), so each step's row products multiply contiguous
+(pattern, batch) planes, and they are allocated once per call and reused
+for every chunk. A chunk holds at most ``RYSER_TEMP_ELEMENTS // n^2``
+matrices and the low digits are chosen so that the signed row sums hold at
+most ``RYSER_TEMP_ELEMENTS`` numbers; so do the doubled columns (at most
+n - 1 digits), and the two (pattern, batch) products hold 1/n of that
+each. The working arrays thus hold at most (2 + 2/n)
+``RYSER_TEMP_ELEMENTS`` numbers besides the result, and no step creates an
+array of its own; NumPy adds transients: an iteration buffer (at most 8192
+numbers) for each broadcast column update, and a copy of the input in the
+low-digit loop, whose output overlaps it.
 
 Two feeders fill a chunk's doubled columns and row sums:
 
@@ -35,9 +57,11 @@ Two feeders fill a chunk's doubled columns and row sums:
   the tau route passes K = n, one zero offset and the permutation images
   tau_t, the product fold one offset d r per draw and the basis tuples of
   rank r, the tensor route of the general engine one offset t r per
-  canonical tuple and every tuple over the r span-basis states. Neither
-  the matrices nor a (D T, n) index exist; W, its doubled columns and its
-  row sums add 2 n^2 K numbers to the same bound.
+  canonical tuple and every tuple over the r span-basis states. Given
+  column multiplicities, W is (n, K, L) with one column per block; only
+  the tau route passes them, its output's occupied modes. Neither the
+  matrices nor a (D T, n) index exist; W, its doubled columns and its row
+  sums add at most 2 n^2 K numbers to the same bound.
 
 The arithmetic follows the dtype of the input: a real stack (bool, integer or
 float) runs in float64, anything else in complex128.  The public results are
@@ -47,7 +71,10 @@ complex either way.
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,57 +115,124 @@ def permanent_naive(a: np.ndarray) -> complex:
     return complex(np.sum(np.prod(a[perms, cols], axis=1)))
 
 
-@lru_cache(maxsize=None)
-def _weights(lo: int, n: int) -> np.ndarray:
-    """(2^lo,) sign product of the low columns of each subset i (-1 for odd
-    bit counts) times Glynn's factor 2^-(n-1) (shared, read-only)."""
-    weights = np.array([(-1.0) ** i.bit_count() for i in range(1 << lo)]) / (1 << (n - 1))
+@lru_cache(maxsize=256)
+def _digits(mult: tuple[int, ...]) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """The pivot block of column multiplicities ``mult``, and the block and
+    radix of each digit: minus-sign counts 0 .. floor(m_p / 2) of the pivot
+    first, then 0 .. m_l of every other block, by decreasing radix and
+    otherwise in block order; radix-1 digits are left out."""
+    total = math.prod(m + 1 for m in mult)
+    pivot = min(range(len(mult)), key=lambda l: total // (mult[l] + 1) * (mult[l] // 2 + 1))
+    others = sorted((l for l in range(len(mult)) if l != pivot), key=lambda l: -mult[l])
+    digits = [(pivot, mult[pivot] // 2 + 1)] + [(l, mult[l] + 1) for l in others]
+    digits = [d for d in digits if d[1] > 1]
+    return pivot, tuple(b for b, _ in digits), tuple(r for _, r in digits)
+
+
+class _Plan(NamedTuple):
+    """How ``_glynn`` walks the sign patterns of one multiplicity tuple:
+    the ``low`` digits, as (digit, radix), are vectorised (``weights``, one
+    per low pattern, with the prefactor 2^-n), and ``walk`` lists each Gray
+    step over the other digits as (digit, subtract, coefficient of the new
+    high pattern)."""
+    low: tuple[tuple[int, int], ...]
+    weights: np.ndarray
+    walk: tuple[tuple[int, bool, int], ...]
+
+
+@lru_cache(maxsize=256)
+def _plan(mult: tuple[int, ...], budget: int) -> _Plan:
+    """The plan for column multiplicities ``mult`` whose low patterns number
+    at most ``budget`` (shared; ``weights`` read-only). A pattern's
+    coefficient is prod_l C(m_l, q_l) (-1)^q_l, doubled for a pivot count
+    below m_p / 2. The pivot's digit is low, so that the walk starts at
+    coefficient 1, and each other digit joins the low ones if their
+    patterns still fit; with every m_l = 1 they are the first
+    floor(log2 budget)."""
+    pivot, blocks, radices = _digits(mult)
+    coefs = [[(-1) ** q * math.comb(mult[b], q) * (2 if b == pivot and 2 * q < mult[b] else 1)
+              for q in range(r)] for b, r in zip(blocks, radices)]
+    low, high, span = [], [], 1
+    for j, (b, r) in enumerate(zip(blocks, radices)):
+        if b == pivot or span * r <= budget:
+            low.append((j, r))
+            span *= r
+        else:
+            high.append(j)
+    # low pattern i = q_0 + r_0 (q_1 + r_1 (q_2 + ...)) over the low digits;
+    # a radix-1 pivot counts 2
+    weights = np.array([2 if mult[pivot] == 1 else 1])
+    for j, _ in low:
+        weights = np.outer(coefs[j], weights).ravel()
+    weights = weights / (1 << sum(mult))
     weights.setflags(write=False)
-    return weights
+    # the reflected mixed-radix Gray code of the high digits, first digit
+    # fastest (Knuth, TAOCP 7.2.1.1, Algorithm H)
+    q, focus, direction = [0] * len(high), list(range(len(high) + 1)), [1] * len(high)
+    current = [1] * len(high)
+    walk = []
+    while (i := focus[0]) < len(high):
+        focus[0] = 0
+        q[i] += direction[i]
+        j = high[i]
+        current[i] = coefs[j][q[i]]
+        walk.append((j, direction[i] > 0, math.prod(current)))
+        if q[i] in (0, radices[j] - 1):
+            direction[i] = -direction[i]
+            focus[i], focus[i + 1] = focus[i + 1], i + 1
+    return _Plan(tuple(low), weights, tuple(walk))
 
 
-def _glynn(n: int, count: int, dtype, form) -> np.ndarray:
+def _glynn(n: int, count: int, dtype, form, mult: tuple[int, ...] | None = None) -> np.ndarray:
     """Glynn permanents of ``count`` n x n matrices in ``dtype``, chunk by
-    chunk. ``form(start, size, steps, first)`` fills the chunk of matrices
-    start .. start + size - 1: ``steps`` (row, column, batch) with 2 x every
-    column after column 0, ``first`` (row, batch) with the row sums. Both are
-    views, with contiguous rows, of working arrays allocated once per call."""
+    chunk, whose columns repeat in blocks of multiplicities ``mult`` (n
+    distinct columns by default). ``form(start, size, steps, first)`` fills
+    the chunk of matrices start .. start + size - 1: ``steps`` (row, digit,
+    batch) with 2 x the column of each digit of ``_digits(mult)``, ``first``
+    (row, batch) with the row sums sum_l m_l c_l. Both are views, with
+    contiguous rows, of working arrays allocated once per call."""
     if n > MAX_RYSER_N:
         raise SizeLimitError(f"permanents capped at n <= {MAX_RYSER_N}, got {n}")
     if n == 0:
         return np.ones(count, dtype=dtype)
     chunk = max(1, min(count, RYSER_TEMP_ELEMENTS // (n * n)))
-    lo = min(n - 1, (RYSER_TEMP_ELEMENTS // (n * chunk)).bit_length() - 1)
-    weights = _weights(lo, n)
-    step_buf = np.empty(n * (n - 1) * chunk, dtype=dtype)
-    sum_buf = np.empty((n * chunk) << lo, dtype=dtype)
-    acc_buf = np.empty(chunk << lo, dtype=dtype)
+    mult = mult or (1,) * n
+    low, weights, walk = _plan(mult, RYSER_TEMP_ELEMENTS // (n * chunk))
+    span, digits = len(weights), len(_digits(mult)[2])
+    step_buf = np.empty(n * digits * chunk, dtype=dtype)
+    sum_buf = np.empty(n * chunk * span, dtype=dtype)
+    acc_buf = np.empty(chunk * span, dtype=dtype)
     prod_buf = np.empty_like(acc_buf)
     out = np.empty(count, dtype=dtype)
     for start in range(0, count, chunk):
         size = min(chunk, count - start)
-        steps = step_buf[:n * (n - 1) * size].reshape(n, n - 1, size)
-        # signed row sums, (row, subset, batch): subset 0 has every sign +1, and
-        # subset i of the low columns flips column j + 1 iff bit j of i
-        sums = sum_buf[:(n * size) << lo].reshape(n, 1 << lo, size)
+        steps = step_buf[:n * digits * size].reshape(n, digits, size)
+        # signed row sums, (row, pattern, batch): pattern 0 has every sign +1,
+        # and each count q of a low digit subtracts its doubled column once more
+        sums = sum_buf[:n * size * span].reshape(n, span, size)
         form(start, size, steps, sums[:, 0])
-        for j in range(lo):
-            np.subtract(sums[:, :1 << j], steps[:, j, None], out=sums[:, 1 << j:2 << j])
-        acc = acc_buf[:size << lo].reshape(1 << lo, size)
-        prods = prod_buf[:size << lo].reshape(1 << lo, size)
-        for k in range(1 << (n - 1 - lo)):
-            if k:  # Gray step k flips column lo + 1 + c, c the lowest set bit of k
-                c = (k & -k).bit_length() - 1
-                if (k ^ (k >> 1)) >> c & 1:
-                    sums -= steps[:, lo + c, None]
-                else:
-                    sums += steps[:, lo + c, None]
-            if not k:
-                np.multiply.reduce(sums, axis=0, out=acc)
-            elif k & 1:
-                acc -= np.multiply.reduce(sums, axis=0, out=prods)
+        stride = 1
+        for j, radix in low:
+            for q in range(1, radix):
+                np.subtract(sums[:, (q - 1) * stride:q * stride], steps[:, j, None],
+                            out=sums[:, q * stride:(q + 1) * stride])
+            stride *= radix
+        acc = acc_buf[:size * span].reshape(span, size)
+        prods = prod_buf[:size * span].reshape(span, size)
+        np.multiply.reduce(sums, axis=0, out=acc)
+        for j, subtract, coef in walk:  # each Gray step moves one count by one
+            if subtract:
+                sums -= steps[:, j, None]
             else:
+                sums += steps[:, j, None]
+            if coef == -1:
+                acc -= np.multiply.reduce(sums, axis=0, out=prods)
+            elif coef == 1:
                 acc += np.multiply.reduce(sums, axis=0, out=prods)
+            else:
+                np.multiply.reduce(sums, axis=0, out=prods)
+                prods *= coef
+                acc += prods
         np.matmul(weights, acc, out=out[start:start + size])
     return out
 
@@ -177,19 +271,33 @@ def permanent_ryser_batch(stack: np.ndarray) -> np.ndarray:
 
 
 def permanent_gather_batch(w: np.ndarray, images: np.ndarray,
-                           offsets: np.ndarray | tuple[int, ...] = (0,)) -> np.ndarray:
+                           offsets: np.ndarray | tuple[int, ...] = (0,),
+                           mult: tuple[int, ...] | None = None) -> np.ndarray:
     """Permanents of the matrices A_{d T + t}[b, a] = W[b, offsets[d] + images[t, b], a]
     for every offset d and every row t of a (T, n) image table, as a complex
     (D T,) array: the same Glynn kernel, dtype rule and cap as
     permanent_ryser_batch, fed by gathering each chunk's doubled columns and
     row sums from W instead of from a materialised (D T, n, n) stack. W must
     be a finite (n, K, n) array and every gathered index in 0 .. K - 1. The
-    default, one zero offset with K = n, gives A_t = W[rows, images[t]]."""
+    default, one zero offset with K = n, gives A_t = W[rows, images[t]].
+
+    With column multiplicities ``mult`` (positive integers summing to n), W
+    is (n, K, L) with one column per block: column a of W stands for m_a
+    equal columns of each matrix, and the kernel sums over minus-sign counts
+    per block (module docstring)."""
     w = np.asarray(w)
     w = w.astype(float if w.dtype.kind in "biuf" else complex, copy=False)
-    if w.ndim != 3 or w.shape[0] != w.shape[2]:
+    if w.ndim != 3:
         raise ValidationError(f"expected an (n, K, n) array, got shape {w.shape}")
     n, k, _ = w.shape
+    ones = (1,) * n
+    mult = ones if mult is None else tuple(mult)
+    if (len(mult) != w.shape[2]
+            or not all(isinstance(m, numbers.Integral) and m >= 1 for m in mult)
+            or sum(mult) != n):
+        raise ValidationError(f"expected an (n, K, n) array, or (n, K, L) with L positive integer "
+                              f"column multiplicities summing to n, got shape {w.shape} and {mult}")
+    mult = tuple(int(m) for m in mult)
     images, offsets = np.asarray(images), np.asarray(offsets)
     if (images.ndim != 2 or images.shape[1] != n or offsets.ndim != 1
             or images.dtype.kind not in "iu" or offsets.dtype.kind not in "iu"):
@@ -205,12 +313,17 @@ def permanent_gather_batch(w: np.ndarray, images: np.ndarray,
     if n == 0:
         return np.ones(count, dtype=complex)
     images, offsets = images.astype(np.intp, copy=False), offsets.astype(np.intp, copy=False)
-    # doubled[b, a - 1, c] = 2 W[b, c, a] and row_sums[b, c] = sum_a W[b, c, a],
-    # summed as the stack feeder sums its doubled columns
-    doubled = np.multiply(w.transpose(0, 2, 1)[:, 1:], 2, order="C")
-    row_sums = np.sum(doubled, axis=1)
-    row_sums *= 0.5
-    row_sums += w[:, :, 0]
+    # doubled[b, j, c] = 2 W[b, c, a_j] for the block a_j of digit j, and
+    # row_sums[b, c] = sum_a m_a W[b, c, a]; distinct columns are summed as
+    # the stack feeder sums them, so that both give the same bits
+    doubled = w.transpose(0, 2, 1).take(_digits(mult)[1], axis=1)
+    doubled *= 2
+    if mult == ones:
+        row_sums = np.sum(doubled, axis=1)
+        row_sums *= 0.5
+        row_sums += w[:, :, 0]
+    else:
+        row_sums = w @ np.array(mult, dtype=float)
 
     def form(start, size, steps, first):
         index = np.empty((n, size), dtype=np.intp)
@@ -224,7 +337,7 @@ def permanent_gather_batch(w: np.ndarray, images: np.ndarray,
             doubled[b].take(index[b], axis=1, out=steps[b], mode="clip")
             row_sums[b].take(index[b], out=first[b], mode="clip")
 
-    return _glynn(n, count, w.dtype, form).astype(complex, copy=False)
+    return _glynn(n, count, w.dtype, form, mult).astype(complex, copy=False)
 
 
 def permanent_laplace(a: np.ndarray, row_split: int) -> complex:

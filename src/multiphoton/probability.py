@@ -7,8 +7,10 @@ differ in the route:
   structure (per-slot Grams or cycle-type values) is evaluated as the sum
   over tau = s2 s1^{-1}, P = (1/(mu mu)) sum_tau per(A_tau), with one
   permanent per pair {tau, tau^-1} (J is Hermitian, so the two permanents
-  are conjugate): (N! + I_N)/2 permanents, I_N the number of involutions; a
-  J stored as a dense matrix through the N!^2 quadratic form X^dagger J X;
+  are conjugate): (N! + I_N)/2 permanents, I_N the number of involutions,
+  each summed over minus-sign counts per output mode, since the m_l slots
+  of mode l repeat a column of A_tau m_l times; a J stored as a dense
+  matrix through the N!^2 quadratic form X^dagger J X;
 * prob_permanent_basis: finite-basis sum of |per(U[n|m] . S(j))|^2 over the
   basis tuples whose permanent is not structurally zero (single photon or
   vacuum per input mode);
@@ -169,8 +171,13 @@ def prob_jmatrix(jm: JMatrix, u: np.ndarray, n_occ, m_occ) -> ProbabilityResult:
     Hermitian, so per(A_tau^-1) = conj per(A_tau) and one permanent per pair
     {tau, tau^-1} suffices: (N! + I_N)/2 permanents, I_N the number of
     involutions, in one kernel call that gathers them from W
-    (``_tau_permanent_sum``). A J stored as a dense matrix goes through
-    X^dagger J X. After its checks, one output of ``_jmatrix_output``."""
+    (``_tau_permanent_sum``). The m_l slots of output mode l give A_tau m_l
+    equal columns, so W keeps one column per occupied mode and each
+    permanent sums over the minus-sign counts of those columns:
+    (floor(m_p / 2) + 1) prod_{l != p} (m_l + 1) sign patterns for a pivot
+    mode p instead of 2^(N-1) (``permanent`` module docstring). A J stored
+    as a dense matrix goes through X^dagger J X. After its checks, one
+    output of ``_jmatrix_output``."""
     n_occ, m_occ, n = _sizes(n_occ, m_occ, u.shape[0])
     if n > JMATRIX_MAX_N:
         raise SizeLimitError(f"prob_jmatrix capped at N <= {JMATRIX_MAX_N}, got {n}")
@@ -196,7 +203,7 @@ def _jmatrix_output(jm: JMatrix, usub: np.ndarray, n_occ, m_occ) -> ProbabilityR
         x = _path_products(usub)
         route, raw, terms, permanents = "dense", np.vdot(x, jm.dense @ x), 0, 0
     else:
-        route, raw = "tau-permanent", _tau_permanent_sum(jm, usub)
+        route, raw = "tau-permanent", _tau_permanent_sum(jm, usub, m_occ)
         terms, permanents = math.factorial(n), len(inverse_pairs(n).positions)
     log.debug("prob_jmatrix: %s route, N=%d, %d tau terms, %d permanents",
               route, n, terms, permanents)
@@ -204,7 +211,7 @@ def _jmatrix_output(jm: JMatrix, usub: np.ndarray, n_occ, m_occ) -> ProbabilityR
     return _finalize(raw, m_occ, "jmatrix")
 
 
-def _tau_permanent_sum(jm: JMatrix, usub: np.ndarray) -> complex:
+def _tau_permanent_sum(jm: JMatrix, usub: np.ndarray, m_occ) -> complex:
     """sum_tau per(A_tau) over S_N with one permanent per pair {tau, tau^-1}:
     sum over involutions of per(A_tau) plus 2 sum over the other pairs of
     Re per(A_tau); usub[b, a] = U[k_b, l_a]. A_tau = W[rows, tau] with
@@ -216,11 +223,17 @@ def _tau_permanent_sum(jm: JMatrix, usub: np.ndarray) -> complex:
     imaginary part is the involutions' alone, which the caller's residual
     check reads.
 
+    The m_l slots of output mode l give every A_tau m_l equal columns, as
+    long as their slot Grams are equal (always for a cycle J, and for every
+    J built for this output): W keeps one column per run of such slots, and
+    the kernel takes the runs' lengths as column multiplicities, summing
+    over minus-sign counts per run instead of over 2^(N-1) sign vectors.
+    Slots of one mode with unequal Grams stay separate runs.
+
     The pairing needs J(tau^-1) = conj J(tau): a cycle value with an
     imaginary part or a non-Hermitian slot Gram raises ValidationError."""
     n = usub.shape[0]
     pairs = inverse_pairs(n)
-    w = usub.conj()[:, None, :] * usub[None, :, :]
     if jm.slot_grams is None:
         values = jm.cycle_weights()[pairs.positions]
         if np.any(np.abs(values.imag) > IMAG_RESIDUAL_TOL * np.maximum(1.0, np.abs(values.real))):
@@ -230,9 +243,19 @@ def _tau_permanent_sum(jm: JMatrix, usub: np.ndarray) -> complex:
         grams = jm.slot_grams
         if np.max(np.abs(grams - grams.conj().transpose(0, 2, 1))) > 1e-12:
             raise ValidationError("tau route needs Hermitian slot Grams (a Hermitian J)")
-        w *= grams.transpose(1, 2, 0)  # G_{l_a}[b, c]
         values = 1.0
-    pers = permanent_gather_batch(w, pairs.images)
+    # runs of slots in one output mode with equal slot Grams: run a starts at
+    # slot starts[a] and gives A_tau mult[a] equal columns
+    ls = mode_list(m_occ)
+    same = ([True] * n if jm.slot_grams is None
+            else (grams[1:] == grams[:-1]).all(axis=(1, 2)).tolist())
+    starts = [a for a in range(n) if a == 0 or ls[a] != ls[a - 1] or not same[a - 1]]
+    mult = tuple(b - a for a, b in zip(starts, starts[1:] + [n]))
+    cols = usub if len(starts) == n else usub[:, starts]
+    w = cols.conj()[:, None, :] * cols[None, :, :]
+    if jm.slot_grams is not None:
+        w *= (grams if len(starts) == n else grams[starts]).transpose(1, 2, 0)  # G_{l_a}[b, c]
+    pers = permanent_gather_batch(w, pairs.images, mult=mult)
     weights = np.where(pairs.involution, 1.0, 2.0) * values
     real = weights @ pers.real
     imag = weights[pairs.involution] @ pers.imag[pairs.involution]

@@ -166,20 +166,39 @@ def run_checks(seed: int = 7, inject_fault: bool = False) -> list[dict]:
         "max_relative_error": worst_rel,
     })
 
-    def gather_error(w, images, offsets=(0,)) -> float:
+    def gather_error(w, images, offsets=(0,), mult=None) -> float:
         """Largest relative gap between the permanents gathered from W and
-        those of the materialised stack."""
+        those of the materialised stack. With column multiplicities
+        ``mult``, the stack repeats column a of W m_a times, and the gap is
+        taken relative to per(|A|): the kernel then groups the terms of the
+        sum, so it rounds differently from the stack, and a random complex
+        permanent can cancel far below per(|A|), the scale of the
+        kernel's rounding error."""
         n, offsets = len(w), np.asarray(offsets)
-        gathered = permanent_gather_batch(w, images, offsets)
+        gathered = permanent_gather_batch(w, images, offsets, mult=mult)
         rows = (offsets[:, None, None] + images).reshape(-1, n)
-        stacked = permanent_ryser_batch(w[np.arange(n), rows])
-        return float(np.max(np.abs(gathered - stacked) / np.maximum(np.abs(stacked), 1e-300)))
+        stack = w[np.arange(n), rows]
+        if mult is not None:
+            stack = stack[:, :, np.repeat(np.arange(len(mult)), mult)]
+        stacked = permanent_ryser_batch(stack)
+        scale = np.abs(stacked if mult is None else permanent_ryser_batch(np.abs(stack)))
+        return float(np.max(np.abs(gathered - stacked) / np.maximum(scale, 1e-300)))
 
-    # permanents of the tau route: gathered from W against the materialised stack
+    # permanents of the tau route: gathered from W against the materialised
+    # stack, with n distinct columns and with the columns repeated by one
+    # random composition of n, drawn from a generator of its own so that the
+    # checks after it draw as before
+    own_rng = np.random.default_rng([seed, 2])
     worst_rel = 0.0
     for n in range(1, 8):
+        images = inverse_pairs(n).images
         w = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
-        worst_rel = max(worst_rel, gather_error(w, inverse_pairs(n).images))
+        worst_rel = max(worst_rel, gather_error(w, images))
+        cuts = np.flatnonzero(own_rng.random(n - 1) < 0.5) + 1
+        mult = tuple(np.diff(np.concatenate(([0], cuts, [n]))).tolist())
+        shape = (n, n, len(mult))
+        w = own_rng.standard_normal(shape) + 1j * own_rng.standard_normal(shape)
+        worst_rel = max(worst_rel, gather_error(w, images, mult=mult))
     checks.append({
         "name": "tau-gather-vs-stack",
         "pass": bool(worst_rel < 1e-13),

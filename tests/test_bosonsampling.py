@@ -30,6 +30,18 @@ def test_gamma_from_eta():
     assert BSParams(3, time_spread=0.0).gamma == 0.0
 
 
+@pytest.mark.parametrize("args", [
+    (2.5,), (0,), (-1,), ("3",), (3.0,),
+    (3, math.nan), (3, math.inf), (3, 0.0), (3, -1.0),
+    (3, 1.0, math.nan), (3, 1.0, math.inf), (3, 1.0, -0.1),
+])
+def test_bsparams_refuses_what_its_formulas_cannot_use(args):
+    """An integral photon count >= 1, a finite width > 0 and a finite spread
+    >= 0: BSParams(2.5, nan, inf) used to be accepted with a NaN gamma."""
+    with pytest.raises(ValidationError):
+        BSParams(*args)
+
+
 def test_from_gamma_roundtrip():
     for gamma in (0.0, 0.1, 0.5, 0.9):
         assert BSParams.from_gamma(4, gamma).gamma == pytest.approx(gamma, abs=1e-14)

@@ -109,6 +109,26 @@ def test_distribution_refuses_a_non_finite_network_file(tmp_path, identical_phot
     assert capsys.readouterr().err == "error: network matrix entries must be finite\n"
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_distribution_refuses_an_unusable_tolerance(tmp_path, capsys, tol):
+    """--tol nan and --tol inf used to let a non-unitary network through
+    (exit 0 with probabilities); --tol -1 would refuse every network."""
+    net = write_json(tmp_path / "ones.json", network_to_dict(np.ones((2, 2))))
+    assert run(["distribution", "--network", net, "--input", "1,0", "--engine", "ideal",
+                f"--tol={tol}"]) == 2
+    assert "unitarity tolerance must be finite and >= 0" in capsys.readouterr().err
+
+
+def test_distribution_passes_a_zero_tolerance(tmp_path, capsys):
+    """--tol 0 is a tolerance, not a missing option: a network 2e-12 from
+    unitary passes the default 1e-8 and fails --tol 0."""
+    net = write_json(tmp_path / "near.json", network_to_dict(random_unitary(2, 5) * (1 + 1e-12)))
+    args = ["distribution", "--network", net, "--input", "1,0", "--engine", "ideal"]
+    assert run(args + ["--out", str(tmp_path / "dist.json")]) == 0
+    assert run(args + ["--tol", "0"]) == 2
+    assert "network matrix is not unitary" in capsys.readouterr().err
+
+
 def test_distribution_size_cap_exit(tmp_path):
     photons9 = write_json(tmp_path / "p9.json", [
         {"gaussian": {"omega": 0.0, "delta": 1.0, "t": 0.0}} for _ in range(9)
@@ -225,7 +245,7 @@ def test_fold_gather_check_flags_ignored_offsets(monkeypatch):
 
     gather = verify.permanent_gather_batch
     monkeypatch.setattr(verify, "permanent_gather_batch",
-                        lambda w, images, offsets: gather(w, images, 0 * offsets))
+                        lambda w, images, offsets, **kw: gather(w, images, 0 * offsets, **kw))
     fold = verify.run_checks(seed=7)[-1]
     assert fold["name"] == "fold-gather-vs-stack" and fold["pass"] is False
 

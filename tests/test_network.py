@@ -109,6 +109,25 @@ def test_validate_network_rejects_nonunitary():
         validate_network(np.ones((2, 2)))
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, -1e-300])
+def test_validate_network_refuses_a_tolerance_it_cannot_use(tol):
+    """NaN or inf would pass every matrix (the check reads dev > tol), and a
+    negative tolerance would refuse every matrix: all three are refused,
+    for a unitary matrix too, and for every network source."""
+    for u in (fourier(2), np.ones((2, 2))):
+        with pytest.raises(ValidationError, match="tolerance"):
+            validate_network(u, tol)
+    with pytest.raises(ValidationError, match="tolerance"):
+        parse_network_source("fourier:2", tol)
+
+
+def test_validate_network_takes_a_zero_tolerance():
+    u = fourier(2) * (1 + 1e-12)  # max |U^dagger U - I| about 2e-12
+    assert np.array_equal(validate_network(u), u)
+    with pytest.raises(ValidationError, match="not unitary"):
+        validate_network(u, 0.0)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_validate_network_rejects_non_finite_entries(bad):
     """A non-finite entry makes the unitarity deviation NaN, which no

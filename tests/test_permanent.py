@@ -9,6 +9,8 @@ from multiphoton.errors import SizeLimitError, ValidationError
 from multiphoton.network import fourier, submatrix
 from multiphoton.permanent import (
     RYSER_TEMP_ELEMENTS,
+    _digits,
+    _plan,
     permanent_gather_batch,
     permanent_laplace,
     permanent_naive,
@@ -186,6 +188,9 @@ def test_kernel_memory_stays_bounded(rng):
     images = inverse_pairs(8).images
     assert _traced_peak(lambda w: permanent_gather_batch(w, images),
                         random_stack(rng, 8, 8, complex)) <= bound
+    # a bunched output's tau-route call: one W column per block
+    assert _traced_peak(lambda w: permanent_gather_batch(w, images, mult=(3, 2, 2, 1)),
+                        rng.standard_normal((8, 8, 4)) + 0j) <= bound
 
 
 @pytest.mark.parametrize("dtype", [complex, float])
@@ -219,6 +224,70 @@ def test_gather_feeder_rejects_bad_input(rng):
             permanent_gather_batch(w, table)
     with pytest.raises(ValidationError):
         permanent_gather_batch(w[:, :2], images)
+
+
+def _expanded(w, mult):
+    """W with column a repeated m_a times: (n, K, n)."""
+    return w[:, :, np.repeat(np.arange(len(mult)), mult)]
+
+
+def random_composition(rng, n):
+    cuts = np.flatnonzero(rng.random(n - 1) < 0.5) + 1
+    return tuple(np.diff(np.concatenate(([0], cuts, [n]))).tolist())
+
+
+@pytest.mark.parametrize("dtype", [complex, float])
+def test_gather_with_multiplicities_matches_naive_expansion(rng, dtype):
+    """Columns repeated in blocks: the kernel sums over minus-sign counts per
+    block, and equals permanent_naive of the expanded matrix. One block of
+    n, all ones, odd pivots ((2, 2, 1, 1) pivots on a 1, (3, 2) on the 3),
+    even pivots ((2, 4), (4, 4)), random compositions of n <= 8, and an
+    image table either side of a chunk boundary. The gap is taken relative
+    to per(|A|), the scale of Glynn's rounding error: a random permanent
+    can cancel far below it."""
+    cases = [((5,), 7), ((8,), 3), ((1,) * 6, 7), ((2, 2, 1, 1), 7), ((3, 2), 7),
+             ((2, 4), 7), ((4, 4), 3)]
+    cases += [(random_composition(rng, n), 7 if n < 8 else 3) for n in range(1, 9)]
+    boundary = RYSER_TEMP_ELEMENTS // 9
+    cases += [((2, 1), boundary - 1), ((1, 2), boundary + 1)]
+    for mult, count in cases:
+        n = sum(mult)
+        w = rng.standard_normal((n, n, len(mult)))
+        if dtype is complex:
+            w = w + 1j * rng.standard_normal(w.shape)
+        images = rng.integers(0, n, (count, n))
+        got = permanent_gather_batch(w, images, mult=mult)
+        assert got.dtype == complex and got.shape == (count,)
+        full = _expanded(w, mult)
+        for a, per in zip(full[np.arange(n), images], got):
+            scale = permanent_naive(np.abs(a)).real
+            assert abs(per - permanent_naive(a)) <= 1e-12 * scale, (mult, count)
+
+
+def test_sign_pattern_counts():
+    """(floor(m_p / 2) + 1) prod_{l != p} (m_l + 1) patterns for the best
+    pivot p, 2^(n-1) with every m_l = 1; the plan's low patterns times its
+    Gray steps (plus the first) cover them all."""
+    expected = {(2, 2, 1, 1): 18, (6,): 4, (3, 3): 8, (2, 4): 9, (4, 2, 1, 1): 30}
+    expected.update({(1,) * n: 2 ** (n - 1) for n in range(1, 9)})
+    for mult, count in expected.items():
+        best = min((m // 2 + 1) * math.prod(k + 1 for k in mult[:p] + mult[p + 1:])
+                   for p, m in enumerate(mult))
+        assert math.prod(_digits(mult)[2]) == best == count, mult
+        for budget in (1, 4, 7, 1 << 14):
+            plan = _plan(mult, budget)
+            assert len(plan.weights) * (len(plan.walk) + 1) == count
+            assert len(plan.weights) <= max(budget, mult[_digits(mult)[0]] // 2 + 1)
+
+
+def test_gather_with_multiplicities_rejects_bad_input(rng):
+    w = rng.standard_normal((4, 4, 2))
+    images = inverse_pairs(4).images
+    for mult in ((2, 1), (3, 2), (2, 2, 0), (4, 0), (5, -1), (2.5, 1.5), ("2", "2")):
+        with pytest.raises(ValidationError, match="multiplicities"):
+            permanent_gather_batch(w, images, mult=mult)
+    with pytest.raises(ValidationError, match="multiplicities"):
+        permanent_gather_batch(w[:, :, :1], images, mult=(4, 0))
 
 
 def random_gather_source(rng, n, k, dtype):

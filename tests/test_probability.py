@@ -622,17 +622,20 @@ def test_eight_photon_tau_route_memory_stays_bounded():
 
 
 def _full_tau_sum(jm, u, n_occ, m_occ):
-    """P from sum_tau per(A_tau) over all N! tau, one permanent each:
+    """P from sum_tau per(A_tau) over all N! tau, one permanent each (in
+    blocks of at most 20160 tau above N = 7):
     A_tau[b, a] = conj(U[k_b, l_a]) U[k_tau(b), l_a] G_{l_a}[b, tau(b)], or
     J_ct(tau) per(conj(U[k_b, l_a]) U[k_tau(b), l_a]) for a cycle J."""
     usub = u[np.ix_(mode_list(n_occ), mode_list(m_occ))]
-    taus = permutation_array(jm.n)
-    stack = usub.conj() * usub[taus]
-    if jm.slot_grams is None:
-        total = jm.cycle_weights() @ permanent_ryser_batch(stack)
-    else:
-        stack *= jm.slot_grams[:, np.arange(jm.n), taus].transpose(1, 2, 0)
-        total = permanent_ryser_batch(stack).sum()
+    total = 0j
+    for block in np.array_split(np.arange(math.factorial(jm.n)), max(1, jm.n - 6)):
+        taus = permutation_array(jm.n)[block]
+        stack = usub.conj() * usub[taus]
+        if jm.slot_grams is None:
+            total += jm.cycle_weights()[block] @ permanent_ryser_batch(stack)
+        else:
+            stack *= jm.slot_grams[:, np.arange(jm.n), taus].transpose(1, 2, 0)
+            total += permanent_ryser_batch(stack).sum()
     assert abs(total.imag) <= 1e-12 * abs(total.real)
     return total.real / (mu(n_occ) * mu(m_occ))
 
@@ -654,6 +657,52 @@ def test_seven_photon_pairing_matches_full_tau_sum():
     for jm in (pure, cycle):
         expected = _full_tau_sum(jm, u, n_occ, m_occ)
         assert prob_jmatrix(jm, u, n_occ, m_occ).p == pytest.approx(expected, rel=1e-12)
+
+
+def test_eight_photon_bunched_output_matches_full_tau_sum(monkeypatch):
+    """A bunched N = 8 output, (4, 2, 1, 1, 0, 0, 0, 0): the tau route's
+    permanents sum over minus-sign counts per output mode, (4, 2, 1, 1) as
+    column multiplicities, and equal the full 40320-tau sum, for a pure J
+    with a different band detector on every mode and for a cycle J."""
+    u = random_unitary(8, 78)
+    n_occ = (1,) * 8
+    m_occ = (4, 2, 1, 1, 0, 0, 0, 0)
+    ls = mode_list(m_occ)
+    dets = [DetectorModel.gaussian_band(center=0.15 * l - 0.5, width=0.9 + 0.2 * l,
+                                        peak=1.0 - 0.03 * l) for l in range(8)]
+    pure = build_pure(gaussians(*(0.6 * i for i in range(8))), tuple(dets[l] for l in ls),
+                      output_modes=ls)
+    cycle = build_cycle_compressed(MixedState.gaussian_time_jitter(0.0, 1.0, 0.7, nodes=8),
+                                   IDEAL, 8)
+    seen = []
+    gather = probability.permanent_gather_batch
+    monkeypatch.setattr(probability, "permanent_gather_batch",
+                        lambda *args, **kw: seen.append(kw["mult"]) or gather(*args, **kw))
+    for jm in (pure, cycle):
+        expected = _full_tau_sum(jm, u, n_occ, m_occ)
+        assert prob_jmatrix(jm, u, n_occ, m_occ).p == pytest.approx(expected, rel=1e-12)
+    assert seen == [(4, 2, 1, 1)] * 2
+
+
+def test_tau_route_keeps_unequal_slot_grams_apart(monkeypatch):
+    """A hand-built lazy J whose slots 0 and 2, both in output mode 0, carry
+    different slot Grams (different detectors): the tau route merges only
+    slots 0 and 1 into one column block, and equals the dense X^dagger J X."""
+    u = random_unitary(4, 25)
+    n_occ, m_occ = (1, 1, 1, 1), (3, 1, 0, 0)
+    flat, band = DetectorModel.flat(0.8), DetectorModel.gaussian_band(0.2, 1.1, 0.9)
+    lazy = build_pure(gaussians(0.0, 0.4, 0.9, 1.5), (flat, flat, band, flat),
+                      output_modes=mode_list(m_occ))
+    assert not np.array_equal(lazy.slot_grams[1], lazy.slot_grams[2])
+    dense = JMatrix(4, "dense", dense=lazy.as_dense(), output_modes=lazy.output_modes,
+                    detectors=lazy.detectors)
+    seen = []
+    gather = probability.permanent_gather_batch
+    monkeypatch.setattr(probability, "permanent_gather_batch",
+                        lambda *args, **kw: seen.append(kw["mult"]) or gather(*args, **kw))
+    p = prob_jmatrix(lazy, u, n_occ, m_occ).p
+    assert seen == [(2, 1, 1)]
+    assert abs(p - prob_jmatrix(dense, u, n_occ, m_occ).p) <= 1e-12
 
 
 def test_tau_route_rejects_a_non_hermitian_j():
